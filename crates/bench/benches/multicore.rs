@@ -1,6 +1,6 @@
 //! Epoch-parallel scaling harness: measures the multi-core engine's
-//! serial reference loop vs the threaded epoch merge per core count,
-//! and writes the `BENCH_multicore.json` artifact.
+//! inline vs threaded worker phase per core count, and writes the
+//! `BENCH_multicore.json` artifact.
 //!
 //! ```text
 //! cargo bench --bench multicore                 # full measurement

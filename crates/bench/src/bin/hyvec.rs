@@ -39,7 +39,7 @@
 //! EDC decode path even while fault-free — a diagnostic knob; the
 //! rendered report is byte-identical with or without it.
 //! `--sim-threads` sets the worker-thread count of the epoch-parallel
-//! multi-core engine (default 1 = the serial reference loop); like
+//! multi-core engine (default 1 = the worker phase runs inline); like
 //! `--jobs` and `--force-slow-path` it never changes a single byte of
 //! the rendered report, only wall time.
 

@@ -35,7 +35,7 @@ pub struct CliOptions {
     /// byte-identical with or without it.
     pub force_slow_path: bool,
     /// Worker threads of the epoch-parallel multi-core engine
-    /// (`--sim-threads`; default 1 = the serial reference loop).
+    /// (`--sim-threads`; default 1 = the worker phase runs inline).
     /// Orthogonal to `--jobs`, which parallelizes across experiments;
     /// the report is byte-identical at every value.
     pub sim_threads: usize,

@@ -1,25 +1,25 @@
-//! Epoch-parallel engine scaling: serial reference loop vs threaded
-//! epoch merge, wall time per core count.
+//! Epoch-parallel engine scaling: inline vs threaded worker phase,
+//! wall time per core count.
 //!
 //! The multi-core engine
 //! ([`hyvec_cachesim::multicore::MultiCoreSystem`]) simulates the N
-//! private L1 front ends on worker threads and replays each epoch's
-//! chain-bound requests in canonical order at the merge barrier, with
-//! counters bit-identical to the serial loop. This module measures
-//! what that buys: the same multi-program workload is run once with
-//! `sim_threads = 1` (the serial reference) and once threaded, per
-//! core count, and the reports are asserted equal before any timing
-//! is trusted — the artifact doubles as an equivalence smoke check,
-//! exactly like the hot-path bench.
+//! private L1 front ends epoch by epoch — inline at `sim_threads = 1`,
+//! on worker threads above — and replays each epoch's chain-bound
+//! requests in canonical order at the merge, with counters
+//! bit-identical to the serial reference loop. This module measures
+//! what the threads buy: the same multi-program workload is run once
+//! with `sim_threads = 1` (the "serial" rows: the inline epoch path)
+//! and once threaded, per core count, and the reports are asserted
+//! equal before any timing is trusted — the artifact doubles as an
+//! equivalence smoke check, exactly like the hot-path bench.
 //!
 //! The result serializes as the `BENCH_multicore.json` artifact
 //! (schema `hyvec-bench-multicore/v1`), written by `hyvec run-all`
 //! alongside `BENCH_hotpath.json` and by the `benches/multicore.rs`
 //! harness. `merge_barrier_overhead_ms` is the threaded-minus-serial
-//! wall time of the 1-core run — the pure cost of the epoch
-//! machinery (barriers, logging, the merge walk) with zero
-//! parallelism to pay for it, which is exactly the overhead a
-//! speedup at N cores must first amortize.
+//! wall time of the 1-core run — the pure cost of the worker threads
+//! (barriers, hand-off) with zero parallelism to pay for it, which is
+//! exactly the overhead a speedup at N cores must first amortize.
 
 use std::time::Instant;
 
@@ -62,7 +62,8 @@ const SEED: u64 = 0xEB0C;
 pub struct CoreScalingResult {
     /// Number of cores simulated.
     pub cores: usize,
-    /// Best wall time of the serial reference loop, milliseconds.
+    /// Best wall time at `sim_threads = 1` (the inline epoch path),
+    /// milliseconds.
     pub serial_ms: f64,
     /// Best wall time of the epoch-parallel engine, milliseconds.
     pub threaded_ms: f64,
@@ -90,7 +91,7 @@ pub struct MulticoreReport {
     /// Per-core-count wall times, in [`CORE_COUNTS`] order.
     pub rows: Vec<CoreScalingResult>,
     /// Threaded minus serial wall time of the 1-core run,
-    /// milliseconds: the pure cost of the epoch machinery (may dip
+    /// milliseconds: the pure cost of the worker threads (may dip
     /// below zero within timing noise).
     pub merge_barrier_overhead_ms: f64,
 }

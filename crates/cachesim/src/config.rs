@@ -51,6 +51,11 @@ pub enum ConfigError {
     InvalidSeuRate,
     /// A multi-core build was requested with zero cores.
     NoCores,
+    /// A nested multi-core build
+    /// ([`SystemBuilder::build_multi_prefixes`](crate::engine::SystemBuilder::build_multi_prefixes))
+    /// was given a core-count list that is not a non-empty, strictly
+    /// ascending list of positive counts.
+    InvalidCoreCounts(CoreCountsProblem),
     /// A way's EDC family cannot protect the configured word or tag
     /// width, so its codec could not be constructed.
     UnsupportedWidth {
@@ -61,6 +66,31 @@ pub enum ConfigError {
         /// The widest word the family supports.
         max_data_bits: usize,
     },
+}
+
+/// What is wrong with the core-count list of a nested multi-core
+/// build ([`ConfigError::InvalidCoreCounts`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CoreCountsProblem {
+    /// The list is empty.
+    Empty,
+    /// A count is zero.
+    Zero,
+    /// A count is smaller than the one before it.
+    Unsorted,
+    /// A count repeats the one before it.
+    Duplicate,
+}
+
+impl fmt::Display for CoreCountsProblem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            CoreCountsProblem::Empty => "the list is empty",
+            CoreCountsProblem::Zero => "a count is zero",
+            CoreCountsProblem::Unsorted => "the counts are not in ascending order",
+            CoreCountsProblem::Duplicate => "a count is repeated",
+        })
+    }
 }
 
 impl fmt::Display for ConfigError {
@@ -100,6 +130,12 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::NoCores => {
                 write!(f, "a multi-core system needs at least one core")
+            }
+            ConfigError::InvalidCoreCounts(problem) => {
+                write!(
+                    f,
+                    "nested core counts must be positive and strictly ascending: {problem}"
+                )
             }
             ConfigError::UnsupportedWidth {
                 protection,

@@ -15,7 +15,8 @@
 
 use crate::cache::{HybridCache, WordSlot};
 use crate::config::{
-    CacheConfig, ConfigError, L2Config, MemoryConfig, Mode, SystemConfig, Topology,
+    CacheConfig, ConfigError, CoreCountsProblem, L2Config, MemoryConfig, Mode, SystemConfig,
+    Topology,
 };
 use crate::hierarchy::{
     AccessOutcome, AccessRequest, Hierarchy, HitDepth, L2Cache, MainMemory, MemoryLevel, PrivateL2s,
@@ -210,11 +211,14 @@ pub(crate) enum ReqKind {
 }
 
 /// One chain-bound request recorded by the L1 front phase, to be
-/// replayed against the shared chain at the merge.
+/// replayed against the chain at the merge.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChainRequest {
     /// Byte address of the fill.
     pub addr: u64,
+    /// Round of the issuing instruction within its epoch (its index
+    /// in the core's epoch), the merge's ordering key.
+    pub round: u32,
     /// `true` when the missing access was a store (write-allocate).
     pub is_write: bool,
     /// Which L1 missed.
@@ -233,15 +237,18 @@ pub(crate) struct ChainRequest {
 /// request, by construction: the L1s never observe the chain, and the
 /// chain never observes the L1s, so splitting the two phases moves
 /// only *when* each counter is incremented, never by how much. The
-/// epoch-parallel multi-core engine runs the front phase on worker
-/// threads and replays the logs serially at the epoch barrier; its
-/// serial reference path uses the same two helpers back-to-back.
+/// epoch-parallel multi-core engine runs the front phase once per
+/// core and epoch and replays the logs at the epoch barrier, tagged
+/// with `round`; its serial reference path
+/// ([`MultiCoreSystem::run_interleaved`]) uses the same two helpers
+/// back-to-back.
 pub(crate) fn front_entry(
     il1: &mut HybridCache,
     dl1: &mut HybridCache,
     timing: CoreTiming,
     stats: &mut RunStats,
     entry: TraceEntry,
+    round: u32,
     requests: &mut Vec<ChainRequest>,
 ) -> u64 {
     let mut cycles = 1u64;
@@ -250,6 +257,7 @@ pub(crate) fn front_entry(
     if !fetch.hit {
         requests.push(ChainRequest {
             addr: entry.pc,
+            round,
             is_write: false,
             kind: ReqKind::Il1,
         });
@@ -267,6 +275,7 @@ pub(crate) fn front_entry(
             if !data.hit {
                 requests.push(ChainRequest {
                     addr,
+                    round,
                     is_write: access.is_write,
                     kind: ReqKind::Dl1,
                 });
@@ -538,13 +547,7 @@ impl SystemBuilder {
         let il1 = HybridCache::try_new(config.il1.clone(), Mode::Hp)?;
         let dl1 = HybridCache::try_new(config.dl1.clone(), Mode::Hp)?;
         let power = PowerModel::new(&config);
-        let memory = MainMemory::new(self.memory);
-        // Select the concrete stock driver for the configured shape:
-        // the run loop monomorphizes over it.
-        let below = match self.l2 {
-            Some(l2) => Hierarchy::L2(L2Cache::new(l2, memory)),
-            None => Hierarchy::Memory(memory),
-        };
+        let below = stock_hierarchy(self.l2, self.memory);
         let (rate, seed) = self.seu.unwrap_or((0.0, DEFAULT_SEU_SEED));
         Ok(System {
             il1,
@@ -573,6 +576,41 @@ impl SystemBuilder {
         if cores == 0 {
             return Err(ConfigError::NoCores);
         }
+        self.build_multi_prefixes(&[cores])
+    }
+
+    /// Like [`build_multi`](SystemBuilder::build_multi), for a family
+    /// of nested machines: the widest count in `core_counts` gets the
+    /// private front ends, and every count gets its own chain below
+    /// the L1s (a machine of the first N cores), so one
+    /// [`MultiCoreSystem::run_prefixes`] simulates each core's L1s
+    /// once and reports every machine. Each report is bit-identical
+    /// to a separate `build_multi(n)` run.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::InvalidCoreCounts`] unless `core_counts` is a
+    /// non-empty, strictly ascending list of positive counts, plus
+    /// everything [`build_multi`](SystemBuilder::build_multi) rejects.
+    pub fn build_multi_prefixes(
+        self,
+        core_counts: &[usize],
+    ) -> Result<MultiCoreSystem, ConfigError> {
+        let invalid = |problem| Err(ConfigError::InvalidCoreCounts(problem));
+        let Some((&cores, nested_counts)) = core_counts.split_last() else {
+            return invalid(CoreCountsProblem::Empty);
+        };
+        if core_counts.contains(&0) {
+            return invalid(CoreCountsProblem::Zero);
+        }
+        for pair in core_counts.windows(2) {
+            if pair[0] == pair[1] {
+                return invalid(CoreCountsProblem::Duplicate);
+            }
+            if pair[0] > pair[1] {
+                return invalid(CoreCountsProblem::Unsorted);
+            }
+        }
         let il1_cfg = self
             .il1
             .clone()
@@ -585,29 +623,39 @@ impl SystemBuilder {
         let l2_cfg = self.l2.clone();
         let memory_cfg = self.memory;
         let (_, seu_seed) = self.seu.unwrap_or((0.0, DEFAULT_SEU_SEED));
-        // Core 0 (and the shared chain, power model and SEU state)
-        // comes from the single-core constructor, so the two paths
-        // can never diverge on validation or assembly.
+        // Core 0 (and the power model and SEU state) comes from the
+        // single-core constructor, so the two paths can never diverge
+        // on validation or assembly.
         let System {
             il1,
             dl1,
-            below,
             power,
             seu_rate_per_bit_cycle,
             ..
         } = self.build()?;
-        let below = match topology {
-            Topology::SharedL2 => MultiChain::Shared(below),
-            Topology::PrivateL2 { coherence } => {
-                let l2 = l2_cfg.ok_or(ConfigError::MissingCache { cache: "l2" })?;
-                MultiChain::Private(PrivateL2s::new(
-                    l2,
-                    cores,
-                    coherence,
-                    MainMemory::new(memory_cfg),
-                ))
-            }
+        let chain = |cores: usize| -> Result<MultiChain, ConfigError> {
+            Ok(match topology {
+                Topology::SharedL2 => {
+                    MultiChain::Shared(stock_hierarchy(l2_cfg.clone(), memory_cfg))
+                }
+                Topology::PrivateL2 { coherence } => {
+                    let l2 = l2_cfg
+                        .clone()
+                        .ok_or(ConfigError::MissingCache { cache: "l2" })?;
+                    MultiChain::Private(PrivateL2s::new(
+                        l2,
+                        cores,
+                        coherence,
+                        MainMemory::new(memory_cfg),
+                    ))
+                }
+            })
         };
+        let below = chain(cores)?;
+        let nested = nested_counts
+            .iter()
+            .map(|&n| Ok((n, chain(n)?)))
+            .collect::<Result<Vec<_>, ConfigError>>()?;
         let mut fronts = vec![(il1, dl1)];
         for _ in 1..cores {
             fronts.push((
@@ -618,10 +666,21 @@ impl SystemBuilder {
         Ok(MultiCoreSystem::from_parts(
             fronts,
             below,
+            nested,
             power,
             seu_rate_per_bit_cycle,
             seu_seed,
         ))
+    }
+}
+
+/// The concrete stock driver for a configured shape (an L2 over
+/// memory, or memory alone): the run loops monomorphize over it.
+fn stock_hierarchy(l2: Option<L2Config>, memory: MemoryConfig) -> Hierarchy {
+    let memory = MainMemory::new(memory);
+    match l2 {
+        Some(l2) => Hierarchy::L2(L2Cache::new(l2, memory)),
+        None => Hierarchy::Memory(memory),
     }
 }
 

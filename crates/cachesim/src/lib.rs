@@ -27,9 +27,11 @@
 //! * [`multicore`] — the multi-core shape on top of the same pieces:
 //!   N private split-L1 front ends in a canonical round-robin
 //!   interleaving over a shared L2/memory chain or per-core private
-//!   L2s (optionally MESI-coherent), simulated epoch-parallel on
-//!   worker threads with a deterministic merge
-//!   ([`SystemBuilder::build_multi`](engine::SystemBuilder::build_multi));
+//!   L2s (optionally MESI-coherent), simulated in epochs — the L1
+//!   fronts inline or on worker threads, then a deterministic merge —
+//!   with nested core counts sharing one front pass
+//!   ([`SystemBuilder::build_multi`](engine::SystemBuilder::build_multi),
+//!   [`SystemBuilder::build_multi_prefixes`](engine::SystemBuilder::build_multi_prefixes));
 //! * [`power`] — Wattch-style event-based energy accounting on top of
 //!   the [`hyvec_cachemodel`] arrays, producing the EPI breakdowns of
 //!   the paper's Figures 3 and 4.
@@ -64,7 +66,8 @@ pub mod stats;
 
 pub use cache::HybridCache;
 pub use config::{
-    CacheConfig, ConfigError, L2Config, MemoryConfig, Mesi, Mode, SystemConfig, Topology, WaySpec,
+    CacheConfig, ConfigError, CoreCountsProblem, L2Config, MemoryConfig, Mesi, Mode, SystemConfig,
+    Topology, WaySpec,
 };
 pub use engine::{RunReport, System, SystemBuilder};
 pub use hierarchy::{

@@ -1,5 +1,5 @@
 //! The multi-core engine: N private split-L1 front ends over a
-//! shared-L2 or private-L2 topology, simulated epoch-parallel.
+//! shared-L2 or private-L2 topology, simulated epoch by epoch.
 //!
 //! The paper's evaluation is single-core, but the composable
 //! [`MemoryLevel`] chain was built so
@@ -23,21 +23,24 @@
 //! while *contention* appears architecturally: the cores' miss
 //! streams interleave in the shared L2, evicting each other's lines.
 //!
-//! # Epoch-parallel simulation
+//! # Epoch simulation
 //!
 //! An L1 hit or miss depends only on the issuing core's own address
 //! stream, never on the chain below — so the expensive part of the
-//! simulation (driving the bit-accurate L1s) parallelizes. With
-//! [`set_sim_threads`](MultiCoreSystem::set_sim_threads) above 1, a
-//! run proceeds in epochs of [`EPOCH_INSTRUCTIONS`] per core:
+//! simulation (driving the bit-accurate L1s) can run core by core.
+//! [`run`](MultiCoreSystem::run) proceeds in epochs of
+//! [`EPOCH_INSTRUCTIONS`] per core:
 //!
-//! 1. each core's [`EpochSource`] hands it a bounded slice of its
-//!    trace; worker threads drive the private L1 front ends through
-//!    their slices, logging every chain-bound fill request
-//!    (`front_entry`) and charging chain-independent stats;
-//! 2. at the epoch barrier, one merge pass replays the logs against
-//!    the shared chain in canonical core-then-round order
-//!    (`apply_fill`), charging fill stalls and energy.
+//! 1. the worker phase: each core streams its next epoch from its
+//!    [`EpochSource`], drives its private L1 front end, charges the
+//!    chain-independent stats, and logs only its chain-bound fill
+//!    requests (`front_entry`), each tagged with its round in the
+//!    epoch. At [`set_sim_threads`](MultiCoreSystem::set_sim_threads)
+//!    1 this phase runs inline; above 1 it runs on scoped worker
+//!    threads between two barriers;
+//! 2. the merge phase: one pass orders the logged requests by
+//!    (round, core) and replays them against the chain (`apply_fill`),
+//!    charging fill stalls and energy.
 //!
 //! Every live core contributes entries to consecutive rounds from the
 //! start of each epoch until it drains, so the merge visits the chain
@@ -47,11 +50,24 @@
 //! core count and invariant across `--sim-threads 1/2/8` (pinned by
 //! the determinism suite and the `epoch_merge` proptests).
 //!
+//! # Nested machines
+//!
+//! The (round, core) order restricted to the cores below N *is* the
+//! N-core order, and core `i`'s front phase is the same in every
+//! machine that contains it. A system built with
+//! [`build_multi_prefixes`](crate::engine::SystemBuilder::build_multi_prefixes)
+//! therefore carries one chain per nested core count but front ends
+//! only for the widest machine: [`run_prefixes`](MultiCoreSystem::run_prefixes)
+//! runs each core's front phase once per epoch and replays its log
+//! into every chain whose machine contains that core, so a 1..64-core
+//! sweep simulates 64 fronts instead of 127, and each report is
+//! bit-identical to a separate `build_multi(n)` run.
+//!
 //! Soft-error draws come from *per-core* RNG streams seeded with
 //! [`per_core_seed`], and exposure integrates each instruction's
 //! core-local cycles (base + bubbles, excluding chain fill stalls),
-//! so injection happens inline on the worker and lands identically in
-//! the serial and threaded schedules.
+//! so injection happens in the front phase and lands identically in
+//! the serial and epoch schedules and in every nested machine.
 //!
 //! Bandwidth arbitration (queueing at the shared L2 port) is *not*
 //! modeled; the contention cost is the architectural one above. Nor
@@ -68,22 +84,28 @@
 //! use hyvec_mediabench::Benchmark;
 //!
 //! let l1s = SystemConfig::uniform_6t();
-//! let mut system = System::builder()
+//! let builder = System::builder()
 //!     .il1(l1s.il1.clone())
 //!     .dl1(l1s.dl1.clone())
 //!     .l2(L2Config::unified(64))
-//!     .memory(MemoryConfig::with_latency(80))
-//!     .build_multi(2)
-//!     .expect("valid configuration");
-//! system.set_sim_threads(2); // epoch-parallel; same counters as 1
-//! let traces = vec![
+//!     .memory(MemoryConfig::with_latency(80));
+//! let traces = || vec![
 //!     Benchmark::GsmC.trace(5_000, 1),
 //!     Benchmark::Mpeg2C.trace(5_000, 2),
 //! ];
-//! let report = system.run(traces, Mode::Hp);
+//! let mut system = builder.clone().build_multi(2).expect("valid configuration");
+//! system.set_sim_threads(2); // threaded worker phase; same counters as 1
+//! let report = system.run(traces(), Mode::Hp);
 //! assert_eq!(report.per_core.len(), 2);
 //! assert_eq!(report.instructions(), 10_000);
 //! assert!(report.l2.expect("shared L2").accesses > 0);
+//!
+//! // The 1- and 2-core machines from one front pass.
+//! let mut nested = builder.build_multi_prefixes(&[1, 2]).expect("ascending counts");
+//! let reports = nested.run_prefixes(traces(), Mode::Hp);
+//! assert_eq!(reports.len(), 2);
+//! assert_eq!(reports[0].per_core.len(), 1);
+//! assert_eq!(reports[1], report);
 //! ```
 
 use crate::cache::HybridCache;
@@ -93,23 +115,26 @@ use crate::hierarchy::{AccessOutcome, AccessRequest, Hierarchy, MemoryLevel, Pri
 use crate::power::PowerModel;
 use crate::stats::{CacheStats, RunStats};
 use hyvec_cachemodel::OperatingPoint;
-use hyvec_mediabench::{per_core_seed, EpochSource, Interleave, TraceEntry, TraceSource};
+use hyvec_mediabench::{per_core_seed, EpochSource, TraceEntry, TraceSource};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard};
 
-/// Instructions each core simulates per epoch between merge barriers.
+/// Instructions each core simulates per epoch between merges.
 ///
-/// Large enough that per-epoch coordination (two barrier waits plus
-/// one lock per core) amortizes to noise against ~4k instructions of
-/// bit-accurate L1 simulation; small enough that the per-core logs
-/// stay cache-resident. Results do not depend on this value — the
-/// merge replays the canonical order exactly at any epoch length.
+/// Large enough that per-epoch coordination (ordering the request
+/// log, plus two barrier waits and one lock per core when threaded)
+/// amortizes to noise against ~4k instructions of bit-accurate L1
+/// simulation; small enough that the epoch's request log — only
+/// chain-bound fills, about 1% of instructions — stays a few
+/// kilobytes even at 64 cores. Results do not depend on this value —
+/// the merge replays the canonical order exactly at any epoch length.
 pub const EPOCH_INSTRUCTIONS: usize = 4096;
 
 /// Process-wide default for [`MultiCoreSystem::set_sim_threads`],
-/// applied at construction. 1 (the initial value) means serial.
+/// applied at construction. 1 (the initial value) runs the worker
+/// phase inline.
 static GLOBAL_SIM_THREADS: AtomicUsize = AtomicUsize::new(1);
 
 /// Sets the process-wide default worker-thread count newly built
@@ -138,6 +163,21 @@ pub(crate) enum MultiChain {
 }
 
 impl MultiChain {
+    /// Serves one chain-bound request from `core`: the one dispatch
+    /// site of both run paths. Requests are about 1% of instructions,
+    /// so matching per request costs nothing measurable.
+    #[inline]
+    fn access(&mut self, core: usize, req: ChainRequest) -> AccessOutcome {
+        let req = AccessRequest {
+            addr: req.addr,
+            is_write: req.is_write,
+        };
+        match self {
+            MultiChain::Shared(h) => h.access(req),
+            MultiChain::Private(p) => p.access_from(core, req),
+        }
+    }
+
     fn as_dyn(&self) -> &dyn MemoryLevel {
         match self {
             MultiChain::Shared(h) => h.as_dyn(),
@@ -231,18 +271,9 @@ impl MultiCoreReport {
     }
 }
 
-/// Per-instruction record of one core's epoch log: the core-local
-/// cycles the L1 front charged, and how many of the epoch's
-/// chain-bound requests this instruction issued.
-#[derive(Debug, Clone, Copy)]
-struct InstrRecord {
-    local_cycles: u64,
-    requests: u32,
-}
-
-/// Everything one core owns during an epoch-parallel run: its L1
-/// front end, its chunked trace, its SEU stream, and the epoch log
-/// the merge pass replays. Wrapped in a `Mutex` purely as a
+/// Everything one core owns during an epoch run: its L1 front end,
+/// its trace, its SEU stream, its front-phase stats, and the epoch
+/// log the merge replays. Wrapped in a `Mutex` purely as a
 /// thread-safe cell — the worker phase and the merge phase never
 /// overlap, so locks are uncontended by construction.
 #[derive(Debug)]
@@ -251,27 +282,23 @@ struct CoreWork<T> {
     dl1: HybridCache,
     source: EpochSource<T>,
     rng: SmallRng,
+    /// Chain-independent counters: instructions, bubbles, and the
+    /// core-local cycles in `cycles`.
     stats: RunStats,
-    /// This epoch's trace slice (reused across epochs).
-    slice: Vec<TraceEntry>,
-    /// This epoch's per-instruction records (reused across epochs).
-    instrs: Vec<InstrRecord>,
-    /// This epoch's chain-bound requests, in program order (reused).
-    requests: Vec<ChainRequest>,
+    /// This epoch's chain-bound requests, in program order, each
+    /// tagged with its round (reused across epochs).
+    log: Vec<ChainRequest>,
 }
 
 impl<T: TraceSource> CoreWork<T> {
-    /// The worker phase of one epoch: pull a slice, drive the L1s,
-    /// log chain-bound requests, draw SEUs from the core's own stream
-    /// over core-local cycles.
+    /// The worker phase of one epoch: stream the next epoch from the
+    /// source, drive the L1s, log chain-bound requests tagged with
+    /// their round, draw SEUs from the core's own stream over
+    /// core-local cycles.
     fn run_epoch(&mut self, timing: CoreTiming, seu_rate: f64, ule_bits: u64) {
-        self.instrs.clear();
-        self.requests.clear();
-        self.source.next_epoch(EPOCH_INSTRUCTIONS, &mut self.slice);
+        self.log.clear();
         let seu_active = seu_rate > 0.0;
-        for i in 0..self.slice.len() {
-            let entry = self.slice[i];
-            let before = self.requests.len();
+        for (round, entry) in (0u32..).zip(self.source.next_epoch(EPOCH_INSTRUCTIONS)) {
             self.stats.instructions += 1;
             let local = front_entry(
                 &mut self.il1,
@@ -279,12 +306,10 @@ impl<T: TraceSource> CoreWork<T> {
                 timing,
                 &mut self.stats,
                 entry,
-                &mut self.requests,
+                round,
+                &mut self.log,
             );
-            self.instrs.push(InstrRecord {
-                local_cycles: local,
-                requests: (self.requests.len() - before) as u32,
-            });
+            self.stats.cycles += local;
             if seu_active {
                 maybe_inject_seu(
                     &mut self.il1,
@@ -299,11 +324,120 @@ impl<T: TraceSource> CoreWork<T> {
     }
 }
 
+/// Locks one core's work cell. The cells are never contended; a
+/// poisoned one means a worker already panicked, which the thread
+/// scope re-raises.
+fn lock<T>(cell: &Mutex<T>) -> MutexGuard<'_, T> {
+    cell.lock()
+        // hyvec-lint: allow(no-panic, "poisoned only if a worker panicked; propagating is the only sane option")
+        .expect("a worker thread panicked")
+}
+
+/// One machine's side of the merge: its core count, its chain, and
+/// its cores' chain-side counters.
+struct MachineRun<'a> {
+    cores: usize,
+    chain: &'a mut MultiChain,
+    /// Per core: fill stalls (also in `cycles`), demand memory
+    /// accesses and below-L1 EDC events.
+    stats: Vec<RunStats>,
+    below_pj: Vec<f64>,
+}
+
+impl MachineRun<'_> {
+    /// Releases the chain, keeping the counters.
+    fn into_counters(self) -> (Vec<RunStats>, Vec<f64>) {
+        (self.stats, self.below_pj)
+    }
+}
+
+/// The merge phase of the epoch engine: the nested machines and the
+/// widest one, plus reused buffers that put the epoch's requests in
+/// canonical order.
+struct Merge<'a> {
+    nested: Vec<MachineRun<'a>>,
+    widest: MachineRun<'a>,
+    /// Per round of the epoch: its first slot in `order`.
+    starts: Vec<usize>,
+    /// The issuing core of each of the epoch's requests, in canonical
+    /// (round, core) order.
+    order: Vec<u32>,
+    /// Per core: its next log entry to replay.
+    cursors: Vec<usize>,
+}
+
+impl Merge<'_> {
+    /// Replays one epoch's logs into every machine that contains the
+    /// issuing core, in canonical (round, core) order. Returns `true`
+    /// once every source has drained.
+    fn epoch<T: TraceSource>(&mut self, works: &[Mutex<CoreWork<T>>], timing: CoreTiming) -> bool {
+        let cores: Vec<MutexGuard<'_, CoreWork<T>>> = works.iter().map(lock).collect();
+        // A counting sort by round. Scattering core by core keeps it
+        // stable: each round lists its cores in ascending order, and
+        // one instruction's requests in program order.
+        self.starts.clear();
+        self.starts.resize(EPOCH_INSTRUCTIONS + 1, 0);
+        for req in cores.iter().flat_map(|work| &work.log) {
+            self.starts[req.round as usize + 1] += 1;
+        }
+        for round in 1..self.starts.len() {
+            self.starts[round] += self.starts[round - 1];
+        }
+        self.order.resize(self.starts[EPOCH_INSTRUCTIONS], 0);
+        for (core, work) in (0u32..).zip(&cores) {
+            for req in &work.log {
+                let slot = &mut self.starts[req.round as usize];
+                self.order[*slot] = core;
+                *slot += 1;
+            }
+        }
+        for machine in self.nested.iter_mut().chain([&mut self.widest]) {
+            self.cursors.clear();
+            self.cursors.resize(machine.cores, 0);
+            for &core in &self.order {
+                let core = core as usize;
+                if core >= machine.cores {
+                    continue;
+                }
+                let req = cores[core].log[self.cursors[core]];
+                self.cursors[core] += 1;
+                let fill = machine.chain.access(core, req);
+                let stats = &mut machine.stats[core];
+                let stall = apply_fill(timing, req.kind, fill, stats, &mut machine.below_pj[core]);
+                stats.cycles += stall;
+            }
+        }
+        cores.iter().all(|work| work.source.is_done())
+    }
+}
+
+/// One core's report counters: its front-phase counters plus one
+/// machine's chain-side counters. Every field is named, so a counter
+/// added to [`RunStats`] must be placed here deliberately.
+fn combine(front: &RunStats, chain: &RunStats) -> RunStats {
+    RunStats {
+        instructions: front.instructions + chain.instructions,
+        cycles: front.cycles + chain.cycles,
+        il1_stall_cycles: front.il1_stall_cycles + chain.il1_stall_cycles,
+        dl1_stall_cycles: front.dl1_stall_cycles + chain.dl1_stall_cycles,
+        edc_stall_cycles: front.edc_stall_cycles + chain.edc_stall_cycles,
+        // Read from the L1s themselves when the report is assembled.
+        il1: front.il1,
+        dl1: front.dl1,
+        // Per-core stats never carry an L2; the machine's is in
+        // `MultiCoreReport::l2`.
+        l2: None,
+        memory_accesses: front.memory_accesses + chain.memory_accesses,
+        below_corrected: front.below_corrected + chain.below_corrected,
+        below_detected: front.below_detected + chain.below_detected,
+    }
+}
+
 /// One soft-error draw for one instruction: `local_cycles` of
 /// exposure over the core's powered ULE bits, from the core's own RNG
 /// stream. Used identically by the serial reference loop and the
-/// epoch workers, which is what makes SEU-active runs thread-count
-/// invariant.
+/// epoch front phase, which is what makes SEU-active runs
+/// thread-count invariant.
 fn maybe_inject_seu(
     il1: &mut HybridCache,
     dl1: &mut HybridCache,
@@ -323,17 +457,25 @@ fn maybe_inject_seu(
 }
 
 /// The multi-core machine: N private front ends (core + IL1 + DL1)
-/// over one shared [`MemoryLevel`] chain or per-core private L2s.
+/// over one shared [`MemoryLevel`] chain or per-core private L2s —
+/// optionally with the chains of smaller nested machines beside it
+/// (see the module docs).
 ///
-/// Built by [`SystemBuilder::build_multi`](crate::engine::SystemBuilder::build_multi);
+/// Built by [`SystemBuilder::build_multi`](crate::engine::SystemBuilder::build_multi)
+/// or [`build_multi_prefixes`](crate::engine::SystemBuilder::build_multi_prefixes);
 /// a 1-core instance reproduces [`System`] runs
 /// counter-for-counter (asserted in the test suite).
 #[derive(Debug)]
 pub struct MultiCoreSystem {
-    /// Per-core `(il1, dl1)` pairs.
+    /// Per-core `(il1, dl1)` pairs of the widest machine.
     fronts: Vec<(HybridCache, HybridCache)>,
-    /// The chain below the L1s (shared, or private L2s per core).
+    /// The chain below the L1s of the widest machine (shared, or
+    /// private L2s per core).
     below: MultiChain,
+    /// The chains of the smaller nested machines, ascending by core
+    /// count; the machine of `n` cores is the first `n` fronts over
+    /// its own chain.
+    nested: Vec<(usize, MultiChain)>,
     /// One power model (all cores share a configuration).
     power: PowerModel,
     /// Soft-error injection, as in [`System`]; an upset lands in the
@@ -344,7 +486,7 @@ pub struct MultiCoreSystem {
     /// streams are re-derived at the start of every run, so warm
     /// re-runs are reproducible.
     seu_seed: u64,
-    /// Worker threads for the epoch-parallel engine; 1 = serial.
+    /// Worker threads of the epoch engine; 1 = worker phase inline.
     sim_threads: usize,
 }
 
@@ -353,6 +495,7 @@ impl MultiCoreSystem {
     pub(crate) fn from_parts(
         fronts: Vec<(HybridCache, HybridCache)>,
         below: MultiChain,
+        nested: Vec<(usize, MultiChain)>,
         power: PowerModel,
         seu_rate_per_bit_cycle: f64,
         seu_seed: u64,
@@ -360,6 +503,7 @@ impl MultiCoreSystem {
         MultiCoreSystem {
             fronts,
             below,
+            nested,
             power,
             seu_rate_per_bit_cycle,
             seu_seed,
@@ -367,27 +511,28 @@ impl MultiCoreSystem {
         }
     }
 
-    /// Number of cores.
+    /// Number of cores (of the widest machine).
     pub fn cores(&self) -> usize {
         self.fronts.len()
     }
 
-    /// The chain beneath the L1s, for inspection (the shared
-    /// hierarchy, or the [`PrivateL2s`] set under a private topology).
+    /// The chain beneath the widest machine's L1s, for inspection (the
+    /// shared hierarchy, or the [`PrivateL2s`] set under a private
+    /// topology).
     pub fn below(&self) -> &dyn MemoryLevel {
         self.below.as_dyn()
     }
 
-    /// Worker threads the next run will use (1 = the serial reference
-    /// loop).
+    /// Worker threads the next run will use (1 = worker phase
+    /// inline).
     pub fn sim_threads(&self) -> usize {
         self.sim_threads
     }
 
-    /// Sets the worker-thread count of the epoch-parallel engine
-    /// (clamped to at least 1). Counters are bit-identical at any
-    /// value; only wall time changes. New instances default to
-    /// [`global_sim_threads`].
+    /// Sets the worker-thread count of the epoch engine (clamped to
+    /// at least 1; 1 runs the worker phase inline, with no threads or
+    /// barriers). Counters are bit-identical at any value; only wall
+    /// time changes. New instances default to [`global_sim_threads`].
     pub fn set_sim_threads(&mut self, threads: usize) {
         self.sim_threads = threads.max(1);
     }
@@ -462,7 +607,7 @@ impl MultiCoreSystem {
             .collect()
     }
 
-    /// Mode transition: flush and reset every L1 and the chain below.
+    /// Mode transition: flush and reset every L1 and every chain.
     fn prepare(&mut self, mode: Mode) {
         for (il1, dl1) in &mut self.fronts {
             il1.set_mode(mode);
@@ -470,20 +615,29 @@ impl MultiCoreSystem {
             il1.reset_stats();
             dl1.reset_stats();
         }
-        self.below.flush();
-        self.below.reset_stats();
+        for chain in self
+            .nested
+            .iter_mut()
+            .map(|(_, c)| c)
+            .chain([&mut self.below])
+        {
+            chain.flush();
+            chain.reset_stats();
+        }
     }
 
-    /// Assembles the report after either run path: fold the per-core
-    /// L1 counters back in, price the energy, read the chain.
+    /// Assembles one machine's report: fold the L1 counters of its
+    /// cores (the first `stats.len()` fronts) back in, price the
+    /// energy, read its chain.
     fn finish(
         &self,
+        chain: &MultiChain,
         stats: Vec<RunStats>,
         below_pj: Vec<f64>,
         mode: Mode,
         op: OperatingPoint,
     ) -> MultiCoreReport {
-        let chain = self.below.chain_stats();
+        let chain = chain.chain_stats();
         let l2 = chain
             .iter()
             .find(|(name, _)| *name == "l2")
@@ -525,10 +679,12 @@ impl MultiCoreSystem {
     }
 
     /// Runs one trace per core to completion at `mode`, in the
-    /// canonical round-robin order (core 0 first). With
-    /// [`set_sim_threads`](MultiCoreSystem::set_sim_threads) above 1
-    /// the epoch-parallel engine runs the L1 front ends on worker
-    /// threads; counters are bit-identical either way.
+    /// canonical round-robin order (core 0 first), through the epoch
+    /// engine; counters are bit-identical at any
+    /// [`set_sim_threads`](MultiCoreSystem::set_sim_threads) value.
+    /// Returns the widest machine's report; a system built with
+    /// nested core counts still drives every chain — use
+    /// [`run_prefixes`](MultiCoreSystem::run_prefixes) to read them.
     ///
     /// # Panics
     ///
@@ -550,25 +706,34 @@ impl MultiCoreSystem {
     where
         T: TraceSource + Send,
     {
-        // hyvec-lint: allow(no-panic, "documented precondition (# Panics): one trace source per core")
-        assert_eq!(
-            sources.len(),
-            self.fronts.len(),
-            "need exactly one trace source per core"
-        );
-        if self.sim_threads <= 1 {
-            self.run_interleaved(Interleave::new(sources), mode, op)
-        } else {
-            self.run_epochs(sources, mode, op)
-        }
+        self.run_epochs(sources, mode, op).1
     }
 
-    /// Runs an already-interleaved stream of `(core, entry)` pairs —
-    /// the serial reference loop behind single-threaded
-    /// [`run`](MultiCoreSystem::run) calls, and the general entry
-    /// point for custom schedules (unequal time slices, bursty
-    /// arrivals, recorded multi-core traces). The epoch-parallel path
-    /// is pinned bit-identical to this loop by the test suite.
+    /// Runs one trace per core of the widest machine to completion at
+    /// `mode`, and reports every nested machine, ascending by core
+    /// count as built. The machine of `n` cores runs the first `n`
+    /// sources; its report is bit-identical to `build_multi(n)`
+    /// running those sources.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sources.len()` differs from the (widest) core count.
+    pub fn run_prefixes<T>(&mut self, sources: Vec<T>, mode: Mode) -> Vec<MultiCoreReport>
+    where
+        T: TraceSource + Send,
+    {
+        let (mut reports, widest) = self.run_epochs(sources, mode, mode.operating_point());
+        reports.push(widest);
+        reports
+    }
+
+    /// Runs an already-interleaved stream of `(core, entry)` pairs on
+    /// the widest machine — the serial reference loop the epoch
+    /// engine is pinned bit-identical to, and the general entry point
+    /// for custom schedules (unequal time slices, bursty arrivals,
+    /// recorded multi-core traces). Each entry runs its front phase
+    /// and its chain requests back-to-back; nested machines' chains
+    /// are left idle.
     ///
     /// Caches are flushed on entry (the mode transition) and
     /// statistics reset, as in [`System::run`].
@@ -588,76 +753,62 @@ impl MultiCoreSystem {
         self.prepare(mode);
         let timing = self.core_timing(mode);
         let ule_bits = self.ule_exposure_bits();
-        let rate = self.seu_rate_per_bit_cycle;
+        let seu_rate = self.seu_rate_per_bit_cycle;
+        let seu_active = seu_rate > 0.0;
         let mut rngs = self.core_rngs();
 
         let n = self.fronts.len();
         let mut stats = vec![RunStats::default(); n];
         let mut below_pj = vec![0.0f64; n];
-        {
-            // As in the single-core engine: dispatch on the chain's
-            // shape once, so the whole interleaved loop runs
-            // monomorphized for the stock shapes.
-            let MultiCoreSystem { fronts, below, .. } = self;
-            match below {
-                MultiChain::Shared(Hierarchy::Memory(m)) => serial_loop(
-                    entries,
-                    fronts,
+        let mut requests: Vec<ChainRequest> = Vec::new();
+        for (core, entry) in entries {
+            // hyvec-lint: allow(no-panic, "documented precondition (# Panics): Interleave tags every entry with a core index < n by construction")
+            assert!(core < n, "entry for core {core} on a {n}-core system");
+            let (il1, dl1) = &mut self.fronts[core];
+            stats[core].instructions += 1;
+            requests.clear();
+            let local = front_entry(il1, dl1, timing, &mut stats[core], entry, 0, &mut requests);
+            let mut cycles = local;
+            for &req in &requests {
+                let fill = self.below.access(core, req);
+                cycles += apply_fill(
                     timing,
-                    rate,
-                    ule_bits,
-                    &mut rngs,
-                    &mut stats,
-                    &mut below_pj,
-                    |_, req| m.access(req),
-                ),
-                MultiChain::Shared(Hierarchy::L2(l2)) => serial_loop(
-                    entries,
-                    fronts,
-                    timing,
-                    rate,
-                    ule_bits,
-                    &mut rngs,
-                    &mut stats,
-                    &mut below_pj,
-                    |_, req| l2.access(req),
-                ),
-                MultiChain::Shared(Hierarchy::Custom(b)) => serial_loop(
-                    entries,
-                    fronts,
-                    timing,
-                    rate,
-                    ule_bits,
-                    &mut rngs,
-                    &mut stats,
-                    &mut below_pj,
-                    |_, req| b.access(req),
-                ),
-                MultiChain::Private(p) => serial_loop(
-                    entries,
-                    fronts,
-                    timing,
-                    rate,
-                    ule_bits,
-                    &mut rngs,
-                    &mut stats,
-                    &mut below_pj,
-                    |core, req| p.access_from(core, req),
-                ),
+                    req.kind,
+                    fill,
+                    &mut stats[core],
+                    &mut below_pj[core],
+                );
+            }
+            stats[core].cycles += cycles;
+            if seu_active {
+                maybe_inject_seu(il1, dl1, &mut rngs[core], seu_rate, ule_bits, local);
             }
         }
 
-        self.finish(stats, below_pj, mode, op)
+        self.finish(&self.below, stats, below_pj, mode, op)
     }
 
-    /// The epoch-parallel path: worker threads drive the L1 front
-    /// ends through per-core trace slices; the coordinator replays
-    /// each epoch's request logs against the chain in canonical
-    /// order. See the module docs for the full protocol.
-    fn run_epochs<T>(&mut self, sources: Vec<T>, mode: Mode, op: OperatingPoint) -> MultiCoreReport
+    /// The epoch engine behind [`run`](MultiCoreSystem::run) and
+    /// [`run_prefixes`](MultiCoreSystem::run_prefixes): the worker
+    /// phase drives each core's L1 front end once per epoch (inline,
+    /// or on worker threads), the merge replays the logs into every
+    /// machine's chain. Returns the nested machines' reports and the
+    /// widest machine's. See the module docs for the protocol.
+    fn run_epochs<T>(
+        &mut self,
+        sources: Vec<T>,
+        mode: Mode,
+        op: OperatingPoint,
+    ) -> (Vec<MultiCoreReport>, MultiCoreReport)
     where
         T: TraceSource + Send,
     {
+        // hyvec-lint: allow(no-panic, "documented precondition (# Panics): one trace source per core")
+        assert_eq!(
+            sources.len(),
+            self.fronts.len(),
+            "need exactly one trace source per core"
+        );
         self.prepare(mode);
         let timing = self.core_timing(mode);
         let ule_bits = self.ule_exposure_bits();
@@ -677,18 +828,39 @@ impl MultiCoreSystem {
                     source: EpochSource::new(source),
                     rng,
                     stats: RunStats::default(),
-                    slice: Vec::with_capacity(EPOCH_INSTRUCTIONS),
-                    instrs: Vec::with_capacity(EPOCH_INSTRUCTIONS),
-                    requests: Vec::new(),
+                    log: Vec::new(),
                 })
             })
             .collect();
-        let mut below_pj = vec![0.0f64; n];
 
-        {
+        let machine = |cores: usize, chain| MachineRun {
+            cores,
+            chain,
+            stats: vec![RunStats::default(); cores],
+            below_pj: vec![0.0; cores],
+        };
+        let mut merge = Merge {
+            nested: self
+                .nested
+                .iter_mut()
+                .map(|(cores, chain)| machine(*cores, chain))
+                .collect(),
+            widest: machine(n, &mut self.below),
+            starts: Vec::new(),
+            order: Vec::new(),
+            cursors: Vec::new(),
+        };
+        if threads <= 1 {
+            loop {
+                for work in &works {
+                    lock(work).run_epoch(timing, rate, ule_bits);
+                }
+                if merge.epoch(&works, timing) {
+                    break;
+                }
+            }
+        } else {
             let works = &works;
-            let below = &mut self.below;
-            let below_pj = &mut below_pj[..];
             // Barrier A releases the workers into an epoch; barrier B
             // tells the coordinator the worker phase is over. Workers
             // then block at the next A while the coordinator merges.
@@ -707,204 +879,66 @@ impl MultiCoreSystem {
                             if core >= works.len() {
                                 break;
                             }
-                            works[core]
-                                .lock()
-                                // hyvec-lint: allow(no-panic, "poisoned only if a sibling worker already panicked; propagating is the only sane option")
-                                .expect("a worker thread panicked")
-                                .run_epoch(timing, rate, ule_bits);
+                            lock(&works[core]).run_epoch(timing, rate, ule_bits);
                         }
                         barrier.wait(); // B
                     });
                 }
-                match below {
-                    MultiChain::Shared(Hierarchy::Memory(m)) => {
-                        coordinate(
-                            works,
-                            barrier,
-                            next_core,
-                            stop,
-                            below_pj,
-                            timing,
-                            |_, req| m.access(req),
-                        );
-                    }
-                    MultiChain::Shared(Hierarchy::L2(l2)) => {
-                        coordinate(
-                            works,
-                            barrier,
-                            next_core,
-                            stop,
-                            below_pj,
-                            timing,
-                            |_, req| l2.access(req),
-                        );
-                    }
-                    MultiChain::Shared(Hierarchy::Custom(b)) => {
-                        coordinate(
-                            works,
-                            barrier,
-                            next_core,
-                            stop,
-                            below_pj,
-                            timing,
-                            |_, req| b.access(req),
-                        );
-                    }
-                    MultiChain::Private(p) => {
-                        coordinate(
-                            works,
-                            barrier,
-                            next_core,
-                            stop,
-                            below_pj,
-                            timing,
-                            |core, req| p.access_from(core, req),
-                        );
+                loop {
+                    next_core.store(0, Ordering::Relaxed);
+                    barrier.wait(); // A: workers start the epoch
+                    barrier.wait(); // B: workers are done, parked before next A
+                    if merge.epoch(works, timing) {
+                        break;
                     }
                 }
+                stop.store(true, Ordering::Release);
+                barrier.wait(); // final A: workers observe `stop` and exit
             });
         }
+        let nested: Vec<_> = merge
+            .nested
+            .into_iter()
+            .map(MachineRun::into_counters)
+            .collect();
+        let widest = merge.widest.into_counters();
 
-        let mut stats = Vec::with_capacity(n);
+        let mut fronts = Vec::with_capacity(n);
+        self.fronts.reserve_exact(n);
         for work in works {
             let work = work
                 .into_inner()
                 // hyvec-lint: allow(no-panic, "poisoned only if a worker panicked, which the scope already propagated")
                 .expect("a worker thread panicked");
             self.fronts.push((work.il1, work.dl1));
-            stats.push(work.stats);
+            fronts.push(work.stats);
         }
-        self.finish(stats, below_pj, mode, op)
-    }
-}
-
-/// The serial reference loop: one entry at a time in the canonical
-/// order, front phase and chain phase back-to-back. Generic over the
-/// chain access so each stock shape compiles its own monomorphized
-/// copy (the closure is `FnMut(core, request)`; the shared shapes
-/// ignore the core index, the private-L2 shape routes by it).
-#[allow(clippy::too_many_arguments)]
-fn serial_loop<I, F>(
-    entries: I,
-    fronts: &mut [(HybridCache, HybridCache)],
-    timing: CoreTiming,
-    seu_rate: f64,
-    ule_bits: u64,
-    rngs: &mut [SmallRng],
-    stats: &mut [RunStats],
-    below_pj: &mut [f64],
-    mut chain: F,
-) where
-    I: IntoIterator<Item = (usize, TraceEntry)>,
-    F: FnMut(usize, AccessRequest) -> AccessOutcome,
-{
-    let n = fronts.len();
-    let seu_active = seu_rate > 0.0;
-    let mut requests: Vec<ChainRequest> = Vec::new();
-    for (core, entry) in entries {
-        // hyvec-lint: allow(no-panic, "Interleave tags every entry with a core index < n by construction; a violation is a driver bug")
-        assert!(core < n, "entry for core {core} on a {n}-core system");
-        let (il1, dl1) = &mut fronts[core];
-        stats[core].instructions += 1;
-        requests.clear();
-        let local = front_entry(il1, dl1, timing, &mut stats[core], entry, &mut requests);
-        let mut cycles = local;
-        for req in &requests {
-            let fill = chain(
-                core,
-                AccessRequest {
-                    addr: req.addr,
-                    is_write: req.is_write,
-                },
-            );
-            cycles += apply_fill(
-                timing,
-                req.kind,
-                fill,
-                &mut stats[core],
-                &mut below_pj[core],
-            );
-        }
-        stats[core].cycles += cycles;
-
-        if seu_active {
-            maybe_inject_seu(il1, dl1, &mut rngs[core], seu_rate, ule_bits, local);
-        }
-    }
-}
-
-/// The coordinator side of the epoch protocol: release the workers
-/// into an epoch, wait for them, then replay every core's log against
-/// the chain in canonical core-then-round order. Runs entirely while
-/// the workers are parked at the next epoch's barrier, so the locks
-/// are uncontended and the chain sees exactly the serial order.
-fn coordinate<T, F>(
-    works: &[Mutex<CoreWork<T>>],
-    barrier: &Barrier,
-    next_core: &AtomicUsize,
-    stop: &AtomicBool,
-    below_pj: &mut [f64],
-    timing: CoreTiming,
-    mut chain: F,
-) where
-    T: TraceSource,
-    F: FnMut(usize, AccessRequest) -> AccessOutcome,
-{
-    let mut cursors = vec![0usize; works.len()];
-    loop {
-        next_core.store(0, Ordering::Relaxed);
-        barrier.wait(); // A: workers start the epoch
-        barrier.wait(); // B: workers are done, parked before next A
-
-        let mut guards: Vec<MutexGuard<'_, CoreWork<T>>> = works
+        let report = |chain: &MultiChain, (stats, below_pj): (Vec<RunStats>, Vec<f64>)| {
+            let stats = fronts
+                .iter()
+                .zip(&stats)
+                .map(|(f, c)| combine(f, c))
+                .collect();
+            self.finish(chain, stats, below_pj, mode, op)
+        };
+        let reports = self
+            .nested
             .iter()
-            .map(|w| {
-                w.lock()
-                    // hyvec-lint: allow(no-panic, "poisoned only if a worker panicked; propagating is the only sane option")
-                    .expect("a worker thread panicked")
-            })
+            .zip(nested)
+            .map(|((_, chain), counters)| report(chain, counters))
             .collect();
-        let rounds = guards.iter().map(|g| g.instrs.len()).max().unwrap_or(0);
-        cursors.iter_mut().for_each(|c| *c = 0);
-        for round in 0..rounds {
-            for core in 0..guards.len() {
-                let work = &mut *guards[core];
-                let Some(rec) = work.instrs.get(round).copied() else {
-                    continue;
-                };
-                let mut cycles = rec.local_cycles;
-                for _ in 0..rec.requests {
-                    let req = work.requests[cursors[core]];
-                    cursors[core] += 1;
-                    let fill = chain(
-                        core,
-                        AccessRequest {
-                            addr: req.addr,
-                            is_write: req.is_write,
-                        },
-                    );
-                    cycles +=
-                        apply_fill(timing, req.kind, fill, &mut work.stats, &mut below_pj[core]);
-                }
-                work.stats.cycles += cycles;
-            }
-        }
-        let done = guards.iter().all(|g| g.source.is_done());
-        drop(guards);
-        if done {
-            break;
-        }
+        (reports, report(&self.below, widest))
     }
-    stop.store(true, Ordering::Release);
-    barrier.wait(); // final A: workers observe `stop` and exit
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ConfigError, L2Config, MemoryConfig, Mesi, SystemConfig, Topology};
+    use crate::config::{
+        ConfigError, CoreCountsProblem, L2Config, MemoryConfig, Mesi, SystemConfig, Topology,
+    };
     use crate::engine::System;
-    use hyvec_mediabench::Benchmark;
+    use hyvec_mediabench::{Benchmark, Interleave};
 
     fn builder() -> crate::engine::SystemBuilder {
         System::builder()
@@ -972,11 +1006,12 @@ mod tests {
 
     #[test]
     fn threaded_epochs_match_the_serial_reference() {
-        // The flagship invariant: the epoch-parallel engine is
-        // bit-identical to the serial loop at every thread count,
-        // including with soft errors active and unequal trace lengths
-        // (cores drain mid-epoch). The epoch_merge proptests sweep
-        // the grid; this is the fast deterministic anchor.
+        // The flagship invariant: the epoch engine is bit-identical to
+        // the serial reference loop at every thread count (inline at
+        // 1, threaded above), including with soft errors active and
+        // unequal trace lengths (cores drain mid-epoch). The
+        // epoch_merge proptests sweep the grid; this is the fast
+        // deterministic anchor.
         let build = || {
             System::builder()
                 .config(SystemConfig::uniform_6t())
@@ -993,19 +1028,78 @@ mod tests {
                 Benchmark::Mpeg2C.trace(2_600, 3),
             ]
         };
-        let mut serial = build();
-        serial.set_sim_threads(1);
-        let reference = serial.run(sources(), Mode::Ule);
-        for threads in [2, 8] {
-            let mut parallel = build();
-            parallel.set_sim_threads(threads);
-            assert_eq!(parallel.sim_threads(), threads);
-            let r = parallel.run(sources(), Mode::Ule);
+        let reference = build().run_interleaved(
+            Interleave::new(sources()),
+            Mode::Ule,
+            Mode::Ule.operating_point(),
+        );
+        for threads in [1, 2, 8] {
+            let mut epochs = build();
+            epochs.set_sim_threads(threads);
+            assert_eq!(epochs.sim_threads(), threads);
+            let r = epochs.run(sources(), Mode::Ule);
             assert_eq!(
                 r, reference,
                 "sim-threads {threads} must match the serial reference"
             );
         }
+    }
+
+    #[test]
+    fn nested_machines_match_separate_builds() {
+        let counts = [1, 2, 3];
+        let sources = |cores: usize| {
+            (0..cores)
+                .map(|i| Benchmark::BIG[i].trace(3_000 + 700 * i as u64, i as u64 + 1))
+                .collect::<Vec<_>>()
+        };
+        let mut nested = builder().build_multi_prefixes(&counts).expect("nested");
+        assert_eq!(nested.cores(), 3);
+        let reports = nested.run_prefixes(sources(3), Mode::Hp);
+        assert_eq!(reports.len(), counts.len());
+        for (report, cores) in reports.iter().zip(counts) {
+            let alone = builder()
+                .build_multi(cores)
+                .expect("one machine")
+                .run(sources(cores), Mode::Hp);
+            assert_eq!(*report, alone, "{cores}-core prefix diverged");
+        }
+        // run() on a nested system reports the widest machine.
+        assert_eq!(nested.run(sources(3), Mode::Hp), reports[2]);
+    }
+
+    #[test]
+    fn empty_core_counts_are_rejected() {
+        assert_eq!(
+            builder().build_multi_prefixes(&[]).unwrap_err(),
+            ConfigError::InvalidCoreCounts(CoreCountsProblem::Empty)
+        );
+    }
+
+    #[test]
+    fn zero_core_count_is_rejected() {
+        assert_eq!(
+            builder().build_multi_prefixes(&[0, 2]).unwrap_err(),
+            ConfigError::InvalidCoreCounts(CoreCountsProblem::Zero)
+        );
+    }
+
+    #[test]
+    fn unsorted_core_counts_are_rejected() {
+        assert_eq!(
+            builder().build_multi_prefixes(&[1, 4, 2]).unwrap_err(),
+            ConfigError::InvalidCoreCounts(CoreCountsProblem::Unsorted)
+        );
+    }
+
+    #[test]
+    fn duplicate_core_counts_are_rejected() {
+        let err = builder().build_multi_prefixes(&[1, 2, 2]).unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::InvalidCoreCounts(CoreCountsProblem::Duplicate)
+        );
+        assert!(err.to_string().contains("repeated"));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use hyvec_cachesim::MultiCoreSystem;
 use hyvec_mediabench::binfmt::{encode_entries, BinaryReplay, DEFAULT_CHUNK_ENTRIES};
 use hyvec_mediabench::replay::{parse_trace_line, write_entry_line, write_trace};
 use hyvec_mediabench::zoo::Workload;
-use hyvec_mediabench::{per_core_seed, Benchmark, Replay, TraceEntry};
+use hyvec_mediabench::{per_core_seed, Benchmark, Interleave, Replay, TraceEntry};
 
 fn build_system() -> System {
     let l1s = SystemConfig::uniform_6t();
@@ -64,7 +64,8 @@ fn system_run_counters_match_text_replay() {
 
 #[test]
 fn epoch_merge_is_bit_identical_from_binary_streams() {
-    // The multi-core engine (serial reference loop vs epoch-threaded)
+    // The multi-core engine (serial reference loop vs the epoch
+    // engine, inline and threaded)
     // fed from binary streams: same merge contract as the synthetic
     // sources, now across decode chunk boundaries too.
     let cores = 4;
@@ -93,11 +94,13 @@ fn epoch_merge_is_bit_identical_from_binary_streams() {
             .expect("valid configuration")
     };
 
-    let mut serial = build();
-    serial.set_sim_threads(1);
-    let reference = serial.run(binary_sources(), Mode::Hp);
+    let reference = build().run_interleaved(
+        Interleave::new(binary_sources()),
+        Mode::Hp,
+        Mode::Hp.operating_point(),
+    );
 
-    for threads in [2, 8] {
+    for threads in [1, 2, 8] {
         let mut parallel = build();
         parallel.set_sim_threads(threads);
         let threaded = parallel.run(binary_sources(), Mode::Hp);

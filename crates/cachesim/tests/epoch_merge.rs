@@ -1,8 +1,10 @@
-//! Epoch-merge determinism properties: the epoch-parallel multi-core
-//! engine must be **bit-identical** to the retained serial reference
-//! loop — same per-core counters, same chain counters, same energy —
-//! for every core count, worker-thread count, topology, and SEU
-//! setting, including cores that drain mid-epoch.
+//! Epoch-merge determinism properties: the epoch engine behind
+//! `MultiCoreSystem::run` and `run_prefixes` must be **bit-identical**
+//! to the serial reference loop (`run_interleaved`) — same per-core
+//! counters, same chain counters, same energy — for every core count,
+//! worker-thread count (1 runs the worker phase inline), topology,
+//! SEU setting and nested core-count set, including cores that drain
+//! mid-epoch and traces that end exactly on an epoch boundary.
 //!
 //! This is the contract that makes `--sim-threads` a pure wall-time
 //! knob: `hyvec run-all` output stays byte-identical at any value
@@ -11,23 +13,46 @@
 //! underlying reports).
 
 use hyvec_cachesim::config::{L2Config, MemoryConfig, Mesi, Mode, SystemConfig, Topology};
-use hyvec_cachesim::engine::System;
-use hyvec_cachesim::MultiCoreSystem;
-use hyvec_mediabench::{per_core_seed, Benchmark};
+use hyvec_cachesim::engine::{System, SystemBuilder};
+use hyvec_cachesim::{MultiCoreReport, MultiCoreSystem, EPOCH_INSTRUCTIONS};
+use hyvec_mediabench::{per_core_seed, Benchmark, Interleave, TraceSource};
 use proptest::prelude::*;
 
-fn build(cores: usize, topology: Topology, seu: bool) -> MultiCoreSystem {
+fn builder(topology: Topology, seu: bool) -> SystemBuilder {
     let l1s = SystemConfig::uniform_6t();
-    let mut builder = System::builder()
+    let builder = System::builder()
         .il1(l1s.il1)
         .dl1(l1s.dl1)
         .l2(L2Config::unified(16))
         .memory(MemoryConfig::with_latency(40))
         .topology(topology);
     if seu {
-        builder = builder.seu(5e-8, 17);
+        builder.seu(5e-8, 17)
+    } else {
+        builder
     }
-    builder.build_multi(cores).expect("valid configuration")
+}
+
+fn build(cores: usize, topology: Topology, seu: bool) -> MultiCoreSystem {
+    builder(topology, seu)
+        .build_multi(cores)
+        .expect("valid configuration")
+}
+
+/// The serial reference: a fresh `cores`-core machine running the
+/// canonical interleaving of `sources` through `run_interleaved`.
+fn reference<T: TraceSource>(
+    cores: usize,
+    topology: Topology,
+    seu: bool,
+    sources: Vec<T>,
+    mode: Mode,
+) -> MultiCoreReport {
+    build(cores, topology, seu).run_interleaved(
+        Interleave::new(sources),
+        mode,
+        mode.operating_point(),
+    )
 }
 
 /// Per-core traces of deliberately unequal lengths (so cores drain in
@@ -48,16 +73,20 @@ proptest! {
     #[test]
     fn threaded_merge_matches_serial_shared_l2(
         cores_sel in prop::sample::select(vec![1usize, 2, 4, 8]),
-        threads in prop::sample::select(vec![2usize, 8]),
+        threads in prop::sample::select(vec![1usize, 2, 8]),
         base_len in 300usize..900,
         seed in 0u64..500,
         seu: bool,
         mode_sel: bool,
     ) {
         let mode = if mode_sel { Mode::Hp } else { Mode::Ule };
-        let mut serial = build(cores_sel, Topology::SharedL2, seu);
-        serial.set_sim_threads(1);
-        let reference = serial.run(sources(cores_sel, base_len, seed), mode);
+        let reference = reference(
+            cores_sel,
+            Topology::SharedL2,
+            seu,
+            sources(cores_sel, base_len, seed),
+            mode,
+        );
         let mut parallel = build(cores_sel, Topology::SharedL2, seu);
         parallel.set_sim_threads(threads);
         let threaded = parallel.run(sources(cores_sel, base_len, seed), mode);
@@ -73,7 +102,7 @@ proptest! {
     #[test]
     fn threaded_merge_matches_serial_private_mesi(
         cores_sel in prop::sample::select(vec![2usize, 4, 8]),
-        threads in prop::sample::select(vec![2usize, 8]),
+        threads in prop::sample::select(vec![1usize, 2, 8]),
         base_len in 300usize..900,
         seed in 0u64..500,
         coherent: bool,
@@ -81,9 +110,13 @@ proptest! {
         let topology = Topology::PrivateL2 {
             coherence: coherent.then(Mesi::default),
         };
-        let mut serial = build(cores_sel, topology, false);
-        serial.set_sim_threads(1);
-        let reference = serial.run(sources(cores_sel, base_len, seed), Mode::Hp);
+        let reference = reference(
+            cores_sel,
+            topology,
+            false,
+            sources(cores_sel, base_len, seed),
+            Mode::Hp,
+        );
         let mut parallel = build(cores_sel, topology, false);
         parallel.set_sim_threads(threads);
         let threaded = parallel.run(sources(cores_sel, base_len, seed), Mode::Hp);
@@ -99,7 +132,7 @@ proptest! {
     /// same system re-running the same sources gives the same report.
     #[test]
     fn warm_threaded_reruns_reproduce(
-        threads in prop::sample::select(vec![2usize, 8]),
+        threads in prop::sample::select(vec![1usize, 2, 8]),
         seed in 0u64..200,
     ) {
         let mut sys = build(4, Topology::SharedL2, true);
@@ -108,6 +141,66 @@ proptest! {
         let second = sys.run(sources(4, 400, seed), Mode::Ule);
         prop_assert_eq!(first, second, "warm threaded re-run diverged");
     }
+
+    /// One nested run equals a separate `build_multi(n)` reference run
+    /// for every core count in a random ascending set, report for
+    /// report: shared, private MESI and private incoherent L2s, SEU
+    /// on and off, inline and threaded worker phases. Trace lengths
+    /// are unequal (cores drain mid-epoch), and with `exact` some are
+    /// whole multiples of `EPOCH_INSTRUCTIONS`.
+    #[test]
+    fn prefix_runs_match_separate_serial_references(
+        mask in 1u32..32,
+        topology_sel in 0usize..3,
+        threads in prop::sample::select(vec![1usize, 2, 8]),
+        seu: bool,
+        exact: bool,
+        base_len in 150usize..500,
+        seed in 0u64..500,
+    ) {
+        // A random non-empty ascending subset of 1..=5 cores.
+        let counts: Vec<usize> = (1..=5).filter(|c| mask & (1 << (c - 1)) != 0).collect();
+        let topology = match topology_sel {
+            0 => Topology::SharedL2,
+            1 => Topology::PrivateL2 { coherence: Some(Mesi::default()) },
+            _ => Topology::PrivateL2 { coherence: None },
+        };
+        let lengths = |cores: usize| -> Vec<u64> {
+            (0..cores)
+                .map(|core| {
+                    if exact && core % 2 == 0 {
+                        (EPOCH_INSTRUCTIONS * (1 + core / 2)) as u64
+                    } else {
+                        (base_len + 131 * core) as u64
+                    }
+                })
+                .collect()
+        };
+        let sources = |cores: usize| -> Vec<_> {
+            lengths(cores)
+                .into_iter()
+                .enumerate()
+                .map(|(core, len)| {
+                    Benchmark::BIG[core % Benchmark::BIG.len()].trace(len, per_core_seed(seed, core))
+                })
+                .collect()
+        };
+        let widest = *counts.last().expect("non-empty subset");
+        let mut nested = builder(topology, seu)
+            .build_multi_prefixes(&counts)
+            .expect("ascending counts");
+        nested.set_sim_threads(threads);
+        let reports = nested.run_prefixes(sources(widest), Mode::Ule);
+        prop_assert_eq!(reports.len(), counts.len());
+        for (report, &cores) in reports.iter().zip(&counts) {
+            let expected = reference(cores, topology, seu, sources(cores), Mode::Ule);
+            prop_assert_eq!(
+                report, &expected,
+                "{}-core prefix of {:?} diverged (threads {}, seu {})",
+                cores, &counts, threads, seu
+            );
+        }
+    }
 }
 
 /// A 64-core spot check at both ends of the sim-threads range — the
@@ -115,13 +208,16 @@ proptest! {
 #[test]
 fn sixty_four_cores_stay_deterministic() {
     let sources = || sources(64, 120, 9);
-    let mut serial = build(64, Topology::SharedL2, false);
-    serial.set_sim_threads(1);
-    let reference = serial.run(sources(), Mode::Hp);
-    let mut parallel = build(64, Topology::SharedL2, false);
-    parallel.set_sim_threads(8);
-    let threaded = parallel.run(sources(), Mode::Hp);
-    assert_eq!(reference, threaded, "64-core epoch merge diverged");
+    let reference = reference(64, Topology::SharedL2, false, sources(), Mode::Hp);
+    for threads in [1, 8] {
+        let mut epochs = build(64, Topology::SharedL2, false);
+        epochs.set_sim_threads(threads);
+        let r = epochs.run(sources(), Mode::Hp);
+        assert_eq!(
+            reference, r,
+            "64-core epoch merge diverged at {threads} threads"
+        );
+    }
     assert_eq!(reference.per_core.len(), 64);
 }
 

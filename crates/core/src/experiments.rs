@@ -842,14 +842,18 @@ pub struct CoresRow {
 /// from private-cache comfort to full thrash.
 pub const ABLATION_CORES_L2_KB: u64 = 16;
 
-/// Core counts swept by the multi-core ablation. The 16/32/64 entries
-/// are where the epoch-parallel engine pays for itself; the report is
-/// byte-identical at every `--sim-threads` value regardless.
+/// Core counts swept by the multi-core ablation, ascending: the
+/// nested machines of one
+/// [`build_multi_prefixes`](hyvec_cachesim::engine::SystemBuilder::build_multi_prefixes)
+/// run, so each of the 64 cores' L1s is simulated once for all seven
+/// machines. The report is byte-identical at every `--sim-threads`
+/// value.
 pub const ABLATION_CORES_COUNTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 /// Core counts swept by the private-L2 MESI topology scenario of the
 /// multi-core ablation (a subset — coherence probing is O(cores) per
-/// miss, and three points already show the trend).
+/// miss, and three points already show the trend), ascending: nested
+/// machines of one prefix run, like [`ABLATION_CORES_COUNTS`].
 pub const ABLATION_CORES_MESI_COUNTS: [usize; 3] = [2, 8, 32];
 
 /// The multi-program mix of the core-count ablation: core `i` runs
@@ -873,7 +877,9 @@ pub const ABLATION_CORES_PROGRAMS: [Benchmark; 6] = [
 /// address window ([`hyvec_mediabench::multiprogram_sources`]),
 /// round-robin interleaved at instruction granularity by the
 /// multi-core engine
-/// ([`hyvec_cachesim::multicore::MultiCoreSystem`]).
+/// ([`hyvec_cachesim::multicore::MultiCoreSystem`]). Every core count
+/// is a nested machine of one run over the 64 cores' traces, so each
+/// core's L1s are simulated once for all seven rows.
 pub fn ablation_cores(scenario: Scenario, params: ExperimentParams) -> Vec<CoresRow> {
     use hyvec_cachesim::config::{L2Config, MemoryConfig};
     use hyvec_mediabench::multiprogram_sources;
@@ -890,21 +896,22 @@ pub fn ablation_cores(scenario: Scenario, params: ExperimentParams) -> Vec<Cores
     // hyvec-lint: allow(no-panic, "the pinned 7+1 proposal sizing converges with default models; exercised by every run-all")
     .expect("proposal architecture");
 
-    ABLATION_CORES_COUNTS
-        .iter()
-        .map(|&cores| {
-            let mut system = System::builder()
-                .config(arch.config.clone())
-                .memory(MemoryConfig::with_latency(ABLATION_L2_MEMORY_LATENCY))
-                .l2(L2Config::unified(ABLATION_CORES_L2_KB))
-                .build_multi(cores)
-                // hyvec-lint: allow(no-panic, "builder inputs are the validated paper geometry plus L2Config::unified presets; exercised by every run-all")
-                .expect("valid multi-core hierarchy");
-            let benchmarks: Vec<Benchmark> = (0..cores)
-                .map(|i| ABLATION_CORES_PROGRAMS[i % ABLATION_CORES_PROGRAMS.len()])
-                .collect();
-            let sources = multiprogram_sources(&benchmarks, params.instructions, params.seed);
-            let report = system.run(sources, Mode::Hp);
+    let mut system = System::builder()
+        .config(arch.config.clone())
+        .memory(MemoryConfig::with_latency(ABLATION_L2_MEMORY_LATENCY))
+        .l2(L2Config::unified(ABLATION_CORES_L2_KB))
+        .build_multi_prefixes(&ABLATION_CORES_COUNTS)
+        // hyvec-lint: allow(no-panic, "builder inputs are the validated paper geometry plus L2Config::unified presets and the ascending count constant; exercised by every run-all")
+        .expect("valid multi-core hierarchy");
+    let benchmarks: Vec<Benchmark> = (0..system.cores())
+        .map(|i| ABLATION_CORES_PROGRAMS[i % ABLATION_CORES_PROGRAMS.len()])
+        .collect();
+    let sources = multiprogram_sources(&benchmarks, params.instructions, params.seed);
+    system
+        .run_prefixes(sources, Mode::Hp)
+        .into_iter()
+        .zip(ABLATION_CORES_COUNTS)
+        .map(|(report, cores)| {
             let instructions = report.instructions();
             let core0 = &report.per_core[0].stats;
             CoresRow {
@@ -970,26 +977,26 @@ pub fn ablation_cores_mesi(scenario: Scenario, params: ExperimentParams) -> Vec<
     // hyvec-lint: allow(no-panic, "the pinned 7+1 proposal sizing converges with default models; exercised by every run-all")
     .expect("proposal architecture");
 
-    ABLATION_CORES_MESI_COUNTS
-        .iter()
-        .map(|&cores| {
-            let mut system = System::builder()
-                .config(arch.config.clone())
-                .memory(MemoryConfig::with_latency(ABLATION_L2_MEMORY_LATENCY))
-                .l2(L2Config::unified(ABLATION_CORES_L2_KB))
-                .topology(Topology::PrivateL2 {
-                    coherence: Some(Mesi::default()),
-                })
-                .build_multi(cores)
-                // hyvec-lint: allow(no-panic, "builder inputs are the validated paper geometry plus L2Config::unified presets; exercised by every run-all")
-                .expect("valid private-L2 MESI machine");
-            let sources: Vec<_> = (0..cores)
-                .map(|core| {
-                    ABLATION_CORES_PROGRAMS[0]
-                        .trace(params.instructions, per_core_seed(params.seed, core))
-                })
-                .collect();
-            let report = system.run(sources, Mode::Hp);
+    let mut system = System::builder()
+        .config(arch.config.clone())
+        .memory(MemoryConfig::with_latency(ABLATION_L2_MEMORY_LATENCY))
+        .l2(L2Config::unified(ABLATION_CORES_L2_KB))
+        .topology(Topology::PrivateL2 {
+            coherence: Some(Mesi::default()),
+        })
+        .build_multi_prefixes(&ABLATION_CORES_MESI_COUNTS)
+        // hyvec-lint: allow(no-panic, "builder inputs are the validated paper geometry plus L2Config::unified presets and the ascending count constant; exercised by every run-all")
+        .expect("valid private-L2 MESI machine");
+    let sources: Vec<_> = (0..system.cores())
+        .map(|core| {
+            ABLATION_CORES_PROGRAMS[0].trace(params.instructions, per_core_seed(params.seed, core))
+        })
+        .collect();
+    system
+        .run_prefixes(sources, Mode::Hp)
+        .into_iter()
+        .zip(ABLATION_CORES_MESI_COUNTS)
+        .map(|(report, cores)| {
             let instructions = report.instructions();
             let kilo = |count: u64| 1000.0 * count as f64 / instructions as f64;
             // hyvec-lint: allow(no-panic, "the private topology always reports an aggregate l2 level")

@@ -367,7 +367,7 @@ impl SweepBuilder {
 
     /// Sets the worker-thread count of the epoch-parallel multi-core
     /// engine (the `--sim-threads` CLI knob; values ≥ 1, default 1 =
-    /// the serial reference loop). Orthogonal to
+    /// the worker phase runs inline). Orthogonal to
     /// [`SweepBuilder::jobs`], which parallelizes *across*
     /// experiments: `sim_threads` parallelizes the cores *within* one
     /// multi-core simulation. The report is byte-identical at every

@@ -139,23 +139,26 @@ impl<S: TraceSource> Iterator for Interleave<S> {
     }
 }
 
-/// A per-core epoch chunker: hands out one bounded slice of a trace
-/// at a time, for the epoch-parallel multi-core engine.
+/// A per-core epoch chunker: streams one bounded epoch of a trace at
+/// a time, for the epoch-parallel multi-core engine.
 ///
 /// The serial interleaver ([`Interleave`]) pulls one entry per live
-/// core per round. The epoch-parallel engine instead gives every core
-/// a bounded *slice* of its own trace to simulate privately on a
-/// worker thread, then merges the chain-bound requests at an epoch
-/// barrier. `EpochSource` is the chunker side of that split: each
-/// [`next_epoch`](EpochSource::next_epoch) call refills a caller-owned
-/// buffer with up to `max` entries, and [`is_done`](EpochSource::is_done)
-/// reports when the underlying source is drained.
+/// core per round. The epoch-parallel engine instead lets every core
+/// simulate a bounded run of its own trace privately (on a worker
+/// thread, or inline), then merges the chain-bound requests at an
+/// epoch barrier. `EpochSource` is the chunker side of that split:
+/// each [`next_epoch`](EpochSource::next_epoch) call streams up to
+/// `max` entries straight from the underlying source (nothing is
+/// buffered), and [`is_done`](EpochSource::is_done) reports when the
+/// source is drained.
 ///
 /// Because every live core contributes entries to *consecutive* rounds
-/// from the start of each epoch until it drains, slicing preserves the
+/// from the start of each epoch until it drains, chunking preserves the
 /// canonical round-robin global order: replaying round `k` of an epoch
 /// across cores in ascending core order visits exactly the entries
-/// [`Interleave`] would have yielded, in the same order.
+/// [`Interleave`] would have yielded, in the same order. That holds
+/// for every prefix of the cores too, so the first N cores' epochs
+/// reproduce the N-core interleaving.
 #[derive(Debug, Clone)]
 pub struct EpochSource<S> {
     source: S,
@@ -176,19 +179,43 @@ impl<S: TraceSource> EpochSource<S> {
         self.done
     }
 
-    /// Refills `out` with the next epoch: up to `max` entries of the
-    /// underlying trace, in program order. Clears `out` first and
-    /// returns the number of entries delivered (less than `max` only
-    /// on the final epoch).
-    pub fn next_epoch(&mut self, max: usize, out: &mut Vec<TraceEntry>) -> usize {
-        out.clear();
-        while out.len() < max && !self.done {
-            match self.source.next_entry() {
-                Some(entry) => out.push(entry),
-                None => self.done = true,
+    /// Streams the next epoch: up to `max` entries of the underlying
+    /// trace, in program order, pulled from the source as the
+    /// iterator is advanced. Fewer than `max` arrive only on the final
+    /// epoch, which also flips [`is_done`](EpochSource::is_done).
+    pub fn next_epoch(&mut self, max: usize) -> Epoch<'_, S> {
+        Epoch {
+            chunker: self,
+            left: max,
+        }
+    }
+}
+
+/// One epoch of an [`EpochSource`], streamed entry by entry (see
+/// [`EpochSource::next_epoch`]).
+#[derive(Debug)]
+pub struct Epoch<'a, S> {
+    chunker: &'a mut EpochSource<S>,
+    left: usize,
+}
+
+impl<S: TraceSource> Iterator for Epoch<'_, S> {
+    type Item = TraceEntry;
+
+    fn next(&mut self) -> Option<TraceEntry> {
+        if self.left == 0 || self.chunker.done {
+            return None;
+        }
+        match self.chunker.source.next_entry() {
+            Some(entry) => {
+                self.left -= 1;
+                Some(entry)
+            }
+            None => {
+                self.chunker.done = true;
+                None
             }
         }
-        out.len()
     }
 }
 
@@ -365,11 +392,11 @@ mod tests {
             .collect();
         let epoch = 16;
         let mut merged = Vec::new();
-        let mut slices: Vec<Vec<TraceEntry>> = vec![Vec::new(); chunkers.len()];
         while !chunkers.iter().all(EpochSource::is_done) {
-            for (chunker, slice) in chunkers.iter_mut().zip(&mut slices) {
-                chunker.next_epoch(epoch, slice);
-            }
+            let slices: Vec<Vec<TraceEntry>> = chunkers
+                .iter_mut()
+                .map(|chunker| chunker.next_epoch(epoch).collect())
+                .collect();
             let rounds = slices.iter().map(Vec::len).max().unwrap_or(0);
             for round in 0..rounds {
                 for (core, slice) in slices.iter().enumerate() {
@@ -404,16 +431,22 @@ mod tests {
     #[test]
     fn epoch_source_reports_drain_and_partial_final_epoch() {
         let mut chunker = EpochSource::new(Benchmark::GsmC.trace(10, 1));
-        let mut buf = Vec::new();
         assert!(!chunker.is_done());
-        assert_eq!(chunker.next_epoch(4, &mut buf), 4);
+        assert_eq!(chunker.next_epoch(4).count(), 4);
         assert!(!chunker.is_done());
-        assert_eq!(chunker.next_epoch(4, &mut buf), 4);
+        assert_eq!(chunker.next_epoch(4).count(), 4);
         // Final epoch is short and flips the done flag.
-        assert_eq!(chunker.next_epoch(4, &mut buf), 2);
+        assert_eq!(chunker.next_epoch(4).count(), 2);
         assert!(chunker.is_done());
-        assert_eq!(chunker.next_epoch(4, &mut buf), 0);
-        assert!(buf.is_empty(), "next_epoch must clear the buffer");
+        assert_eq!(chunker.next_epoch(4).count(), 0);
+        // An epoch that ends exactly at the trace's end cannot know
+        // the source is drained; the next (empty) epoch finds out.
+        let mut exact = EpochSource::new(Benchmark::GsmC.trace(8, 1));
+        assert_eq!(exact.next_epoch(4).count(), 4);
+        assert_eq!(exact.next_epoch(4).count(), 4);
+        assert!(!exact.is_done());
+        assert_eq!(exact.next_epoch(4).count(), 0);
+        assert!(exact.is_done());
     }
 
     #[test]

@@ -305,6 +305,8 @@ fn conditional_requests_honor_the_report_etag() {
     assert_eq!(header_value(&head, "ETag").as_ref(), Some(&etag));
     let (_, _, stats) = get(&server, "/stats");
     assert_eq!(stat(&stats, "hits"), 0, "a 304 bypasses the cache");
+    assert_eq!(stat(&stats, "status_304"), 1, "/stats counts the 304");
+    assert_eq!(stat(&stats, "status_5xx"), 0);
 
     // A stale validator gets the full 200 again.
     let (status, _, body) =

@@ -12,8 +12,8 @@
 //! depressed L2 hit ratio and extra memory traffic relative to the
 //! same program running alone. The second run simulates the L1 fronts
 //! on two worker threads (`set_sim_threads`) — the report is
-//! bit-identical to the serial loop, demonstrated here by asserting
-//! it against a serial re-run.
+//! bit-identical to the serial reference loop, demonstrated here by
+//! asserting it against a `run_interleaved` re-run.
 //!
 //! ```text
 //! cargo run --example multicore --release
@@ -22,7 +22,7 @@
 use hyvec_cachesim::config::{L2Config, MemoryConfig, Mesi, Mode, Topology};
 use hyvec_cachesim::engine::System;
 use hyvec_core::{Architecture, DesignPoint, Scenario};
-use hyvec_mediabench::{multiprogram_sources, per_core_seed, Benchmark};
+use hyvec_mediabench::{interleave_benchmarks, multiprogram_sources, per_core_seed, Benchmark};
 
 fn main() {
     let arch = Architecture::build(Scenario::A, DesignPoint::Proposal).expect("architecture");
@@ -51,8 +51,11 @@ fn main() {
     let mut machine = builder().build_multi(4).expect("4-core system");
     machine.set_sim_threads(2);
     let report = machine.run(multiprogram_sources(&programs, n, 1), Mode::Hp);
-    machine.set_sim_threads(1);
-    let serial = machine.run(multiprogram_sources(&programs, n, 1), Mode::Hp);
+    let serial = machine.run_interleaved(
+        interleave_benchmarks(&programs, n, 1),
+        Mode::Hp,
+        Mode::Hp.operating_point(),
+    );
     assert_eq!(report, serial, "epoch merge must match the serial loop");
 
     println!("4 cores over one shared 16KB L2, 80-cycle memory, HP mode:");

@@ -113,8 +113,8 @@ fn sim_threads_are_invariant_across_all_render_formats() {
     // The epoch-parallel engine must be invisible in the output: the
     // ablation-cores sections (up to 64 cores, shared and private-L2
     // MESI topologies) rendered in every format must come out
-    // byte-identical between the serial reference loop and the
-    // threaded epoch merge.
+    // byte-identical between the inline and the threaded worker
+    // phase of the epoch engine.
     use hyvec_core::render::{render, Format};
     use hyvec_core::sweep::SweepBuilder;
     let sweep = |sim_threads: usize| {
