@@ -107,6 +107,10 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> Result<CliOptions, Str
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    options
+        .params
+        .validate()
+        .map_err(|e| format!("bad --instructions: {e}"))?;
     Ok(options)
 }
 
@@ -209,6 +213,13 @@ mod tests {
         assert_eq!(o.jobs, 2);
         assert!(parse(&["--sim-threads", "0"]).is_err());
         assert!(parse(&["--sim-threads"]).is_err());
+    }
+
+    #[test]
+    fn zero_instructions_is_rejected() {
+        let err = parse(&["--instructions", "0"]).unwrap_err();
+        assert!(err.contains("instructions must be at least 1"), "{err}");
+        assert!(parse(&["-n", "1"]).is_ok());
     }
 
     #[test]

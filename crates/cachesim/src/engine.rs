@@ -13,13 +13,14 @@
 //!   the paper's "negligible (around 3%)" execution-time overhead,
 //!   which stems from the fill/correction path.
 
-use crate::cache::{HybridCache, WordSlot};
+use crate::cache::HybridCache;
 use crate::config::{
     CacheConfig, ConfigError, CoreCountsProblem, L2Config, MemoryConfig, Mode, SystemConfig,
     Topology,
 };
+use crate::faults::{maybe_inject_seu, ule_exposure_bits};
 use crate::hierarchy::{
-    AccessOutcome, AccessRequest, Hierarchy, HitDepth, L2Cache, MainMemory, MemoryLevel, PrivateL2s,
+    AccessOutcome, AccessRequest, HitDepth, L2Cache, MainMemory, MemoryLevel, PrivateL2s,
 };
 use crate::multicore::{MultiChain, MultiCoreSystem};
 use crate::power::{EnergyBreakdown, PowerModel};
@@ -27,7 +28,7 @@ use crate::stats::RunStats;
 use hyvec_cachemodel::{OperatingPoint, TechnologyParams};
 use hyvec_mediabench::{TraceEntry, TraceSource};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Default seed of the soft-error RNG (historical constant of
 /// `System::new`; [`SystemBuilder::seu`] overrides it). The
@@ -111,94 +112,6 @@ pub(crate) fn split_at_line_boundaries(addr: u64, size: u8, line_bytes: u64) -> 
     }
 }
 
-/// Executes one trace entry against a core front end (IL1 + DL1) over
-/// the shared hierarchy below, returning the cycles it consumed.
-///
-/// This is the timing model of *one* in-order core, shared verbatim by
-/// [`System::run_at`] and the multi-core engine
-/// ([`MultiCoreSystem`]): one base cycle, miss
-/// stalls for the composed fill latency plus the EDC pipeline, one
-/// recovery bubble per correction, one read-modify-write bubble for
-/// sub-word stores into protected words. Data accesses that cross a
-/// DL1 line boundary are split and charged once per touched line.
-///
-/// `stats.memory_accesses` is incremented for every fill satisfied at
-/// [`HitDepth::Memory`] — the core's *demand* memory traffic. The
-/// single-core engine overwrites the field afterwards with the chain's
-/// own count (which additionally includes buffered writebacks); the
-/// multi-core engine keeps the per-core demand figure, since the
-/// shared chain cannot attribute writebacks to cores.
-///
-/// Generic over the chain below: the engines match the [`Hierarchy`]
-/// variant once per run and call this with the concrete stock type
-/// ([`crate::hierarchy::L1OverMemory`] /
-/// [`crate::hierarchy::L1OverL2`]), so the miss path compiles to
-/// static calls; `dyn MemoryLevel` (`?Sized`) covers custom chains.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_entry<B: MemoryLevel + ?Sized>(
-    il1: &mut HybridCache,
-    dl1: &mut HybridCache,
-    below: &mut B,
-    timing: CoreTiming,
-    stats: &mut RunStats,
-    below_pj: &mut f64,
-    entry: TraceEntry,
-) -> u64 {
-    let mut cycles = 1u64;
-
-    let fetch = il1.access(entry.pc, false);
-    if !fetch.hit {
-        let fill = below.access(AccessRequest::read(entry.pc));
-        *below_pj += fill.energy_pj;
-        stats.below_corrected += u64::from(fill.corrected);
-        stats.below_detected += u64::from(fill.detected);
-        stats.memory_accesses += u64::from(fill.depth == HitDepth::Memory);
-        let stall = u64::from(fill.latency_cycles + timing.il1_edc_latency);
-        stats.il1_stall_cycles += stall;
-        stats.edc_stall_cycles += u64::from(timing.il1_edc_latency);
-        cycles += stall;
-    }
-    if fetch.corrected > 0 {
-        stats.edc_stall_cycles += 1;
-        cycles += 1;
-    }
-
-    if let Some(access) = entry.access {
-        for (addr, size) in
-            split_at_line_boundaries(access.addr, access.size, timing.dl1_line_bytes)
-        {
-            let data = dl1.access(addr, access.is_write);
-            if !data.hit {
-                let fill = below.access(AccessRequest {
-                    addr,
-                    is_write: access.is_write,
-                });
-                *below_pj += fill.energy_pj;
-                stats.below_corrected += u64::from(fill.corrected);
-                stats.below_detected += u64::from(fill.detected);
-                stats.memory_accesses += u64::from(fill.depth == HitDepth::Memory);
-                let stall = u64::from(fill.latency_cycles + timing.dl1_edc_latency);
-                stats.dl1_stall_cycles += stall;
-                stats.edc_stall_cycles += u64::from(timing.dl1_edc_latency);
-                cycles += stall;
-            }
-            if data.corrected > 0 {
-                stats.edc_stall_cycles += 1;
-                cycles += 1;
-            }
-            // Sub-word stores into an EDC-protected word need a
-            // read-modify-write to regenerate the check bits: one
-            // extra cycle.
-            if access.is_write && size < 4 && timing.dl1_edc_latency > 0 {
-                stats.edc_stall_cycles += 1;
-                cycles += 1;
-            }
-        }
-    }
-
-    cycles
-}
-
 /// Which L1 a chain-bound fill request belongs to (decides the EDC
 /// latency charged on top of the composed fill latency and which
 /// stall counter absorbs it).
@@ -225,6 +138,16 @@ pub(crate) struct ChainRequest {
     pub kind: ReqKind,
 }
 
+impl ChainRequest {
+    /// The request as the chain sees it.
+    pub(crate) fn access(self) -> AccessRequest {
+        AccessRequest {
+            addr: self.addr,
+            is_write: self.is_write,
+        }
+    }
+}
+
 /// The L1-front phase of one entry: drives IL1/DL1, charges the
 /// chain-independent stats (correction and RMW bubbles), and appends
 /// the entry's chain-bound fill requests to `requests` in program
@@ -233,15 +156,15 @@ pub(crate) struct ChainRequest {
 /// fill stalls, which [`apply_fill`] charges when the chain outcome
 /// is known.
 ///
-/// `execute_entry` == `front_entry` + one [`apply_fill`] per recorded
-/// request, by construction: the L1s never observe the chain, and the
-/// chain never observes the L1s, so splitting the two phases moves
-/// only *when* each counter is incremented, never by how much. The
-/// epoch-parallel multi-core engine runs the front phase once per
-/// core and epoch and replays the logs at the epoch barrier, tagged
-/// with `round`; its serial reference path
-/// ([`MultiCoreSystem::run_interleaved`]) uses the same two helpers
-/// back-to-back.
+/// This and [`apply_fill`] are the one timing model of an in-order
+/// core. The L1s never observe the chain, and the chain never observes
+/// the L1s, so the two phases may run apart. [`System::run_at`] and
+/// the serial reference path ([`MultiCoreSystem::run_interleaved`])
+/// apply each entry's fills right after its front phase; the
+/// epoch-parallel multi-core engine runs the front phase once per core
+/// and epoch and replays the logs at the epoch barrier, tagged with
+/// `round`.
+#[inline]
 pub(crate) fn front_entry(
     il1: &mut HybridCache,
     dl1: &mut HybridCache,
@@ -298,6 +221,14 @@ pub(crate) fn front_entry(
 /// outcome to the issuing core's stats and energy, returning the
 /// stall cycles the core pays (composed fill latency + the missing
 /// L1's EDC pipeline). Counterpart of [`front_entry`]; see there.
+///
+/// `stats.memory_accesses` counts every fill satisfied at
+/// [`HitDepth::Memory`]: the core's *demand* memory traffic. The
+/// multi-core engine reports that figure per core, since a shared
+/// chain cannot attribute writebacks to cores; [`System::run_at`]
+/// replaces it with the chain's own count, which also includes
+/// buffered writebacks.
+#[inline]
 pub(crate) fn apply_fill(
     timing: CoreTiming,
     kind: ReqKind,
@@ -320,42 +251,6 @@ pub(crate) fn apply_fill(
     }
     stats.edc_stall_cycles += u64::from(edc_latency);
     stall
-}
-
-/// The single-core instruction loop, generic over the chain below so
-/// each stock [`Hierarchy`] shape compiles its own copy with static
-/// dispatch (custom chains instantiate it with `dyn MemoryLevel`).
-#[allow(clippy::too_many_arguments)]
-fn run_loop<T: TraceSource, B: MemoryLevel + ?Sized>(
-    trace: &mut T,
-    il1: &mut HybridCache,
-    dl1: &mut HybridCache,
-    below: &mut B,
-    timing: CoreTiming,
-    seu_rate: f64,
-    ule_bits: u64,
-    seu_rng: &mut SmallRng,
-    stats: &mut RunStats,
-    below_pj: &mut f64,
-) {
-    let seu_active = seu_rate > 0.0;
-    while let Some(entry) = trace.next_entry() {
-        stats.instructions += 1;
-        let cycles = execute_entry(il1, dl1, below, timing, stats, below_pj, entry);
-        stats.cycles += cycles;
-
-        // Soft errors arrive at rate * bits per cycle.
-        if seu_active {
-            let expected = seu_rate * ule_bits as f64 * cycles as f64;
-            if seu_rng.gen::<f64>() < expected {
-                if seu_rng.gen::<bool>() {
-                    System::inject_random_seu(il1, seu_rng);
-                } else {
-                    System::inject_random_seu(dl1, seu_rng);
-                }
-            }
-        }
-    }
 }
 
 /// Result of one simulation run.
@@ -384,10 +279,9 @@ impl RunReport {
 pub struct System {
     il1: HybridCache,
     dl1: HybridCache,
-    /// The memory hierarchy beneath both L1s: one of the two
-    /// monomorphized stock shapes picked by the builder, or a custom
-    /// boxed [`MemoryLevel`] chain.
-    below: Hierarchy,
+    /// The memory hierarchy beneath both L1s: the stock shape the
+    /// builder picked, or a custom chain.
+    below: Box<dyn MemoryLevel>,
     power: PowerModel,
     /// Soft-error injection: expected upsets per stored bit per cycle
     /// (0 disables). Real rates are ~1e-17/bit/s; experiments
@@ -504,6 +398,10 @@ impl SystemBuilder {
 
     /// Enables runtime soft-error injection at `rate` expected upsets
     /// per stored bit per cycle, with a deterministic RNG `seed`.
+    ///
+    /// Terrestrial rates are around 1e-17 per bit-second (amplified at
+    /// NST voltage); pass an accelerated figure (e.g. `1e-9`) to
+    /// observe upsets within a short simulation.
     pub fn seu(mut self, rate: f64, seed: u64) -> SystemBuilder {
         self.seu = Some((rate, seed));
         self
@@ -642,12 +540,12 @@ impl SystemBuilder {
                     let l2 = l2_cfg
                         .clone()
                         .ok_or(ConfigError::MissingCache { cache: "l2" })?;
-                    MultiChain::Private(PrivateL2s::new(
+                    MultiChain::Private(Box::new(PrivateL2s::new(
                         l2,
                         cores,
                         coherence,
                         MainMemory::new(memory_cfg),
-                    ))
+                    )))
                 }
             })
         };
@@ -674,13 +572,14 @@ impl SystemBuilder {
     }
 }
 
-/// The concrete stock driver for a configured shape (an L2 over
-/// memory, or memory alone): the run loops monomorphize over it.
-fn stock_hierarchy(l2: Option<L2Config>, memory: MemoryConfig) -> Hierarchy {
+/// The stock chain for a configured shape: an L2 over memory, or
+/// memory alone. The engines dispatch on the box once per L1 miss;
+/// inside it, `L2Cache<MainMemory>` descends with static calls.
+fn stock_hierarchy(l2: Option<L2Config>, memory: MemoryConfig) -> Box<dyn MemoryLevel> {
     let memory = MainMemory::new(memory);
     match l2 {
-        Some(l2) => Hierarchy::L2(L2Cache::new(l2, memory)),
-        None => Hierarchy::Memory(memory),
+        Some(l2) => Box::new(L2Cache::new(l2, memory)),
+        None => Box::new(memory),
     }
 }
 
@@ -707,51 +606,6 @@ impl System {
         }
     }
 
-    /// Enables runtime soft-error injection at the given expected
-    /// upsets per stored bit per cycle, with a deterministic seed.
-    ///
-    /// Terrestrial rates are around 1e-17 per bit-second (amplified at
-    /// NST voltage); pass an accelerated figure (e.g. `1e-9`) to
-    /// observe upsets within a short simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is negative or not finite.
-    pub fn set_soft_error_rate(&mut self, rate: f64, seed: u64) {
-        // hyvec-lint: allow(no-panic, "documented precondition (# Panics); SystemBuilder::seu is the validating path")
-        assert!(rate.is_finite() && rate >= 0.0, "rate must be >= 0");
-        self.seu_rate_per_bit_cycle = rate;
-        self.seu_rng = SmallRng::seed_from_u64(seed);
-    }
-
-    /// Flips one uniformly random stored bit among the ULE-way words
-    /// of one cache (data and tag, payload and check bits alike).
-    /// Shared with the multi-core engine.
-    pub(crate) fn inject_random_seu(cache: &mut HybridCache, rng: &mut SmallRng) {
-        let config = cache.config().clone();
-        let ule_ways: Vec<usize> = config
-            .ways
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.ule_enabled)
-            .map(|(i, _)| i)
-            .collect();
-        if ule_ways.is_empty() {
-            return;
-        }
-        let way = ule_ways[rng.gen_range(0..ule_ways.len())];
-        let set = rng.gen_range(0..config.sets());
-        let slot = rng.gen_range(0..=config.words_per_line());
-        let spec = config.ways[way];
-        let bits = if slot == config.words_per_line() {
-            config.tag_bits as usize + spec.stored_check_bits()
-        } else {
-            config.word_bits as usize + spec.stored_check_bits()
-        };
-        let bit = rng.gen_range(0..bits) as u32;
-        cache.inject_soft_error(WordSlot { way, set, slot }, bit);
-    }
-
     /// The instruction cache (e.g. for fault injection).
     pub fn il1_mut(&mut self) -> &mut HybridCache {
         &mut self.il1
@@ -764,17 +618,16 @@ impl System {
 
     /// The memory hierarchy beneath the L1s.
     pub fn below(&self) -> &dyn MemoryLevel {
-        self.below.as_dyn()
+        self.below.as_ref()
     }
 
     /// Replaces the memory hierarchy beneath the L1s with a custom
     /// [`MemoryLevel`] chain (a prefetcher, an ECC memory model, a
     /// NUMA stack, ...). The engine charges whatever composed
-    /// latency/energy/EDC events the chain reports on each L1 miss.
-    /// Custom chains run through `dyn` dispatch (only the two stock
-    /// builder shapes are monomorphized).
+    /// latency/energy/EDC events the chain reports on each L1 miss,
+    /// dispatched exactly like the stock chains.
     pub fn set_hierarchy(&mut self, below: Box<dyn MemoryLevel>) {
-        self.below = Hierarchy::Custom(below);
+        self.below = below;
     }
 
     /// The power model.
@@ -816,30 +669,12 @@ impl System {
         };
 
         // Soft-error bookkeeping: bits exposed in the powered ULE ways
-        // of both caches. The exposure count (and the whole SEU branch
-        // in the loop) is skipped entirely for the default fault-free
-        // runs, keeping the sweep hot path free of RNG work.
-        let seu_active = self.seu_rate_per_bit_cycle > 0.0;
-        let ule_bits: u64 = if seu_active {
-            [self.il1.config(), self.dl1.config()]
-                .iter()
-                .map(|c| {
-                    c.ways
-                        .iter()
-                        .filter(|w| w.ule_enabled)
-                        .map(|w| {
-                            c.sets()
-                                * (c.words_per_line()
-                                    * (u64::from(c.word_bits) + w.stored_check_bits() as u64)
-                                    + u64::from(c.tag_bits)
-                                    + w.stored_check_bits() as u64)
-                        })
-                        .sum::<u64>()
-                })
-                .sum()
-        } else {
-            0
-        };
+        // of both caches. The SEU draw is skipped entirely for the
+        // default fault-free runs, keeping the hot path free of RNG
+        // work.
+        let seu_rate = self.seu_rate_per_bit_cycle;
+        let seu_active = seu_rate > 0.0;
+        let ule_bits = ule_exposure_bits(self.il1.config(), self.dl1.config());
 
         // Dynamic energy spent below the L1s (zero for the default
         // energy-free flat memory; folded into the `other` component
@@ -847,54 +682,35 @@ impl System {
         let mut below_pj = 0.0f64;
 
         let mut stats = RunStats::default();
-        {
-            // Dispatch on the chain shape once, outside the loop: the
-            // whole instruction loop monomorphizes per stock shape.
-            let rate = self.seu_rate_per_bit_cycle;
-            let System {
-                il1,
-                dl1,
-                below,
-                seu_rng,
-                ..
-            } = self;
-            match below {
-                Hierarchy::Memory(m) => run_loop(
-                    &mut trace,
-                    il1,
-                    dl1,
-                    m,
-                    timing,
-                    rate,
+        let mut requests = Vec::new();
+        while let Some(entry) = trace.next_entry() {
+            stats.instructions += 1;
+            requests.clear();
+            let mut cycles = front_entry(
+                &mut self.il1,
+                &mut self.dl1,
+                timing,
+                &mut stats,
+                entry,
+                0,
+                &mut requests,
+            );
+            for &req in &requests {
+                let fill = self.below.access(req.access());
+                cycles += apply_fill(timing, req.kind, fill, &mut stats, &mut below_pj);
+            }
+            stats.cycles += cycles;
+            // Exposure integrates full cycles, fill stalls included
+            // (see `maybe_inject_seu`).
+            if seu_active {
+                maybe_inject_seu(
+                    &mut self.il1,
+                    &mut self.dl1,
+                    &mut self.seu_rng,
+                    seu_rate,
                     ule_bits,
-                    seu_rng,
-                    &mut stats,
-                    &mut below_pj,
-                ),
-                Hierarchy::L2(l2) => run_loop(
-                    &mut trace,
-                    il1,
-                    dl1,
-                    l2,
-                    timing,
-                    rate,
-                    ule_bits,
-                    seu_rng,
-                    &mut stats,
-                    &mut below_pj,
-                ),
-                Hierarchy::Custom(b) => run_loop(
-                    &mut trace,
-                    il1,
-                    dl1,
-                    b.as_mut(),
-                    timing,
-                    rate,
-                    ule_bits,
-                    seu_rng,
-                    &mut stats,
-                    &mut below_pj,
-                ),
+                    cycles,
+                );
             }
         }
 
@@ -1047,8 +863,11 @@ mod tests {
         // Accelerated SEU rate so a 50k-instruction run sees many
         // upsets.
         let rate = 2e-8;
-        let mut prop = System::new(proposal_a());
-        prop.set_soft_error_rate(rate, 77);
+        let mut prop = System::builder()
+            .config(proposal_a())
+            .seu(rate, 77)
+            .build()
+            .expect("valid rate");
         let p = prop.run(Benchmark::AdpcmC.trace(50_000, 7), Mode::Ule);
         assert!(
             p.stats.corrected() > 0,
@@ -1060,8 +879,11 @@ mod tests {
             "SECDED must absorb single upsets"
         );
 
-        let mut base = System::new(baseline_a());
-        base.set_soft_error_rate(rate, 77);
+        let mut base = System::builder()
+            .config(baseline_a())
+            .seu(rate, 77)
+            .build()
+            .expect("valid rate");
         let b = base.run(Benchmark::AdpcmC.trace(50_000, 7), Mode::Ule);
         assert!(
             b.stats.silent_corruptions() > 0,
@@ -1071,8 +893,11 @@ mod tests {
 
     #[test]
     fn zero_rate_means_no_injection() {
-        let mut sys = System::new(proposal_a());
-        sys.set_soft_error_rate(0.0, 1);
+        let mut sys = System::builder()
+            .config(proposal_a())
+            .seu(0.0, 1)
+            .build()
+            .expect("valid rate");
         let r = sys.run(Benchmark::EpicC.trace(20_000, 1), Mode::Ule);
         assert_eq!(r.stats.corrected(), 0);
         assert_eq!(r.stats.silent_corruptions(), 0);

@@ -110,14 +110,15 @@
 
 use crate::cache::HybridCache;
 use crate::config::{CacheConfig, Mode};
-use crate::engine::{apply_fill, front_entry, ChainRequest, CoreTiming, RunReport, System};
-use crate::hierarchy::{AccessOutcome, AccessRequest, Hierarchy, MemoryLevel, PrivateL2s};
+use crate::engine::{apply_fill, front_entry, ChainRequest, CoreTiming, RunReport};
+use crate::faults::{maybe_inject_seu, ule_exposure_bits};
+use crate::hierarchy::{AccessOutcome, MemoryLevel, PrivateL2s};
 use crate::power::PowerModel;
 use crate::stats::{CacheStats, RunStats};
 use hyvec_cachemodel::OperatingPoint;
 use hyvec_mediabench::{per_core_seed, EpochSource, TraceEntry, TraceSource};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard};
 
@@ -152,14 +153,14 @@ pub fn global_sim_threads() -> usize {
 }
 
 /// The chain below the L1s of a multi-core machine: one shared
-/// [`Hierarchy`] (the default topology), or a private L2 per core.
+/// L2/memory chain (the default topology), or a private L2 per core.
 #[derive(Debug)]
 pub(crate) enum MultiChain {
     /// One L2/memory chain shared by every core.
-    Shared(Hierarchy),
+    Shared(Box<dyn MemoryLevel>),
     /// A private L2 per core over one shared memory
     /// ([`crate::config::Topology::PrivateL2`]).
-    Private(PrivateL2s),
+    Private(Box<PrivateL2s>),
 }
 
 impl MultiChain {
@@ -168,39 +169,24 @@ impl MultiChain {
     /// so matching per request costs nothing measurable.
     #[inline]
     fn access(&mut self, core: usize, req: ChainRequest) -> AccessOutcome {
-        let req = AccessRequest {
-            addr: req.addr,
-            is_write: req.is_write,
-        };
         match self {
-            MultiChain::Shared(h) => h.access(req),
-            MultiChain::Private(p) => p.access_from(core, req),
+            MultiChain::Shared(h) => h.access(req.access()),
+            MultiChain::Private(p) => p.access_from(core, req.access()),
         }
     }
 
     fn as_dyn(&self) -> &dyn MemoryLevel {
         match self {
-            MultiChain::Shared(h) => h.as_dyn(),
-            MultiChain::Private(p) => p,
+            MultiChain::Shared(h) => h.as_ref(),
+            MultiChain::Private(p) => p.as_ref(),
         }
     }
 
-    fn flush(&mut self) {
+    fn as_dyn_mut(&mut self) -> &mut dyn MemoryLevel {
         match self {
-            MultiChain::Shared(h) => MemoryLevel::flush(h),
-            MultiChain::Private(p) => MemoryLevel::flush(p),
+            MultiChain::Shared(h) => h.as_mut(),
+            MultiChain::Private(p) => p.as_mut(),
         }
-    }
-
-    fn reset_stats(&mut self) {
-        match self {
-            MultiChain::Shared(h) => MemoryLevel::reset_stats(h),
-            MultiChain::Private(p) => MemoryLevel::reset_stats(p),
-        }
-    }
-
-    fn chain_stats(&self) -> Vec<(&'static str, CacheStats)> {
-        self.as_dyn().chain_stats()
     }
 }
 
@@ -433,29 +419,6 @@ fn combine(front: &RunStats, chain: &RunStats) -> RunStats {
     }
 }
 
-/// One soft-error draw for one instruction: `local_cycles` of
-/// exposure over the core's powered ULE bits, from the core's own RNG
-/// stream. Used identically by the serial reference loop and the
-/// epoch front phase, which is what makes SEU-active runs
-/// thread-count invariant.
-fn maybe_inject_seu(
-    il1: &mut HybridCache,
-    dl1: &mut HybridCache,
-    rng: &mut SmallRng,
-    seu_rate: f64,
-    ule_bits: u64,
-    local_cycles: u64,
-) {
-    let expected = seu_rate * ule_bits as f64 * local_cycles as f64;
-    if rng.gen::<f64>() < expected {
-        if rng.gen::<bool>() {
-            System::inject_random_seu(il1, rng);
-        } else {
-            System::inject_random_seu(dl1, rng);
-        }
-    }
-}
-
 /// The multi-core machine: N private front ends (core + IL1 + DL1)
 /// over one shared [`MemoryLevel`] chain or per-core private L2s —
 /// optionally with the chains of smaller nested machines beside it
@@ -463,8 +426,10 @@ fn maybe_inject_seu(
 ///
 /// Built by [`SystemBuilder::build_multi`](crate::engine::SystemBuilder::build_multi)
 /// or [`build_multi_prefixes`](crate::engine::SystemBuilder::build_multi_prefixes);
-/// a 1-core instance reproduces [`System`] runs
-/// counter-for-counter (asserted in the test suite).
+/// with soft errors off, a 1-core instance reproduces
+/// [`System`](crate::engine::System) runs counter-for-counter
+/// (asserted in the test suite; `faults::maybe_inject_seu` says why
+/// runs with soft errors differ).
 #[derive(Debug)]
 pub struct MultiCoreSystem {
     /// Per-core `(il1, dl1)` pairs of the widest machine.
@@ -478,9 +443,9 @@ pub struct MultiCoreSystem {
     nested: Vec<(usize, MultiChain)>,
     /// One power model (all cores share a configuration).
     power: PowerModel,
-    /// Soft-error injection, as in [`System`]; an upset lands in the
-    /// caches of the core whose entry triggered it (the one accruing
-    /// the exposure cycles).
+    /// Soft-error injection, as in [`System`](crate::engine::System);
+    /// an upset lands in the caches of the core whose entry triggered
+    /// it (the one accruing the exposure cycles).
     seu_rate_per_bit_cycle: f64,
     /// Base seed of the per-core SEU streams (see [`per_core_seed`]);
     /// streams are re-derived at the start of every run, so warm
@@ -573,32 +538,6 @@ impl MultiCoreSystem {
         }
     }
 
-    /// Soft-error exposure of one core's powered ULE bits (all cores
-    /// share a configuration); 0 when injection is off, so fault-free
-    /// runs skip the whole branch.
-    fn ule_exposure_bits(&self) -> u64 {
-        if self.seu_rate_per_bit_cycle <= 0.0 {
-            return 0;
-        }
-        let (il1, dl1) = self.shared_core_config();
-        [il1, dl1]
-            .iter()
-            .map(|c| {
-                c.ways
-                    .iter()
-                    .filter(|w| w.ule_enabled)
-                    .map(|w| {
-                        c.sets()
-                            * (c.words_per_line()
-                                * (u64::from(c.word_bits) + w.stored_check_bits() as u64)
-                                + u64::from(c.tag_bits)
-                                + w.stored_check_bits() as u64)
-                    })
-                    .sum::<u64>()
-            })
-            .sum()
-    }
-
     /// Per-core SEU streams for one run, derived fresh from the base
     /// seed so warm re-runs reproduce.
     fn core_rngs(&self) -> Vec<SmallRng> {
@@ -621,6 +560,7 @@ impl MultiCoreSystem {
             .map(|(_, c)| c)
             .chain([&mut self.below])
         {
+            let chain = chain.as_dyn_mut();
             chain.flush();
             chain.reset_stats();
         }
@@ -637,7 +577,7 @@ impl MultiCoreSystem {
         mode: Mode,
         op: OperatingPoint,
     ) -> MultiCoreReport {
-        let chain = chain.chain_stats();
+        let chain = chain.as_dyn().chain_stats();
         let l2 = chain
             .iter()
             .find(|(name, _)| *name == "l2")
@@ -736,7 +676,8 @@ impl MultiCoreSystem {
     /// are left idle.
     ///
     /// Caches are flushed on entry (the mode transition) and
-    /// statistics reset, as in [`System::run`].
+    /// statistics reset, as in
+    /// [`System::run`](crate::engine::System::run).
     ///
     /// # Panics
     ///
@@ -752,7 +693,8 @@ impl MultiCoreSystem {
     {
         self.prepare(mode);
         let timing = self.core_timing(mode);
-        let ule_bits = self.ule_exposure_bits();
+        let (il1, dl1) = self.shared_core_config();
+        let ule_bits = ule_exposure_bits(il1, dl1);
         let seu_rate = self.seu_rate_per_bit_cycle;
         let seu_active = seu_rate > 0.0;
         let mut rngs = self.core_rngs();
@@ -811,7 +753,8 @@ impl MultiCoreSystem {
         );
         self.prepare(mode);
         let timing = self.core_timing(mode);
-        let ule_bits = self.ule_exposure_bits();
+        let (il1, dl1) = self.shared_core_config();
+        let ule_bits = ule_exposure_bits(il1, dl1);
         let rate = self.seu_rate_per_bit_cycle;
         let n = self.fronts.len();
         let threads = self.sim_threads.min(n);
@@ -966,24 +909,68 @@ mod tests {
     fn one_core_matches_the_single_core_engine() {
         // The multi-core engine with one core must reproduce System
         // counter-for-counter: same caches, same chain, same timing.
-        let mut single = builder().build().expect("single");
-        let mut multi = builder().build_multi(1).expect("multi");
-        let trace = || Benchmark::Mpeg2C.trace(20_000, 3);
-        let s = single.run(trace(), Mode::Hp);
-        let m = multi.run(vec![trace()], Mode::Hp);
-        let core = &m.per_core[0];
-        assert_eq!(core.stats.instructions, s.stats.instructions);
-        assert_eq!(core.stats.cycles, s.stats.cycles);
-        assert_eq!(core.stats.il1, s.stats.il1);
-        assert_eq!(core.stats.dl1, s.stats.dl1);
-        assert_eq!(core.stats.il1_stall_cycles, s.stats.il1_stall_cycles);
-        assert_eq!(core.stats.dl1_stall_cycles, s.stats.dl1_stall_cycles);
-        assert_eq!(m.l2, s.stats.l2);
-        assert_eq!(m.memory.accesses, s.stats.memory_accesses);
-        assert_eq!(core.seconds, s.seconds);
-        // Energy matches except the per-core report keeps its demand
-        // memory count rather than the chain's total.
-        assert!((core.energy.total_pj() - s.energy.total_pj()).abs() < 1e-9);
+        // Cases: the L2 shape at HP, flat memory, and a ULE run over
+        // hard faults in a SECDED ULE way (the EDC slow path). SEU
+        // stays off: the engines integrate exposure differently by
+        // design (see `faults::maybe_inject_seu`).
+        use crate::config::WaySpec;
+        use crate::faults::sample_faults;
+        use hyvec_edc::Protection;
+        use hyvec_sram::CellKind;
+        let mut ways = vec![WaySpec::hp_way(1.0, Protection::None); 7];
+        ways.push(WaySpec::ule_way(
+            CellKind::Sram8T,
+            1.8,
+            Protection::None,
+            Protection::Secded,
+        ));
+        let pf: Vec<f64> = ways
+            .iter()
+            .map(|w| if w.ule_enabled { 2e-3 } else { 0.0 })
+            .collect();
+        let flat = System::builder()
+            .config(SystemConfig::uniform_6t())
+            .memory(MemoryConfig::with_latency(80));
+        let faulty = System::builder()
+            .config(SystemConfig::with_ways(ways, 80))
+            .l2(L2Config::unified(16));
+        let cases = [
+            (builder(), Mode::Hp, false),
+            (flat, Mode::Hp, false),
+            (faulty, Mode::Ule, true),
+        ];
+        for (case, (builder, mode, faults)) in cases.into_iter().enumerate() {
+            let mut single = builder.clone().build().expect("single");
+            let mut multi = builder.build_multi(1).expect("multi");
+            if faults {
+                let inject = |cache: &mut HybridCache| {
+                    sample_faults(cache, &pf, &mut SmallRng::seed_from_u64(9));
+                };
+                inject(single.il1_mut());
+                inject(single.dl1_mut());
+                let (il1, dl1) = multi.core_mut(0);
+                inject(il1);
+                inject(dl1);
+            }
+            let trace = || Benchmark::Mpeg2C.trace(20_000, 3);
+            let s = single.run(trace(), mode);
+            let m = multi.run(vec![trace()], mode);
+            let core = &m.per_core[0];
+            assert_eq!(core.stats.instructions, s.stats.instructions, "case {case}");
+            assert_eq!(core.stats.cycles, s.stats.cycles, "case {case}");
+            assert_eq!(core.stats.il1, s.stats.il1, "case {case}");
+            assert_eq!(core.stats.dl1, s.stats.dl1, "case {case}");
+            assert_eq!(core.stats.il1_stall_cycles, s.stats.il1_stall_cycles);
+            assert_eq!(core.stats.dl1_stall_cycles, s.stats.dl1_stall_cycles);
+            assert_eq!(core.stats.edc_stall_cycles, s.stats.edc_stall_cycles);
+            assert_eq!(m.l2, s.stats.l2, "case {case}");
+            assert_eq!(m.memory.accesses, s.stats.memory_accesses, "case {case}");
+            assert_eq!(core.seconds, s.seconds, "case {case}");
+            assert_eq!(s.stats.corrected() > 0, faults, "case {case}");
+            // Energy matches except the per-core report keeps its
+            // demand memory count rather than the chain's total.
+            assert!((core.energy.total_pj() - s.energy.total_pj()).abs() < 1e-9);
+        }
     }
 
     #[test]

@@ -76,7 +76,41 @@ impl ExperimentParams {
     pub fn fingerprint(&self) -> u64 {
         crate::seed::fnv1a(&self.canonical_encoding())
     }
+
+    /// Checks that the parameters describe a runnable sweep: the one
+    /// check every front end (CLI flags, `hyvec serve --instructions`,
+    /// the `/report` query) applies before running anything.
+    ///
+    /// # Errors
+    ///
+    /// [`ParamsError::ZeroInstructions`] when `instructions` is 0:
+    /// every per-instruction figure (EPI, CPI, overheads) would be
+    /// `NaN`.
+    pub fn validate(&self) -> Result<(), ParamsError> {
+        if self.instructions == 0 {
+            return Err(ParamsError::ZeroInstructions);
+        }
+        Ok(())
+    }
 }
+
+/// Why a set of [`ExperimentParams`] cannot run (see
+/// [`ExperimentParams::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParamsError {
+    /// `instructions` is 0.
+    ZeroInstructions,
+}
+
+impl std::fmt::Display for ParamsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ParamsError::ZeroInstructions => f.write_str("instructions must be at least 1"),
+        }
+    }
+}
+
+impl std::error::Error for ParamsError {}
 
 /// Runs `benchmarks` on `arch` at `mode`, returning the summed energy
 /// breakdown, instructions and cycles.
@@ -544,6 +578,10 @@ pub struct SoftErrorResult {
 /// at the design rate *and* accelerated soft errors, SECDED-protected
 /// words containing a hard fault degrade to detection-only, while
 /// DECTED keeps correcting. Both remain silent-corruption-free.
+///
+/// # Panics
+///
+/// Panics if `seu_rate` is negative or not finite.
 pub fn soft_error_study(params: ExperimentParams, seu_rate: f64) -> SoftErrorResult {
     let proposal = Architecture::build_pinned(Scenario::B, DesignPoint::Proposal);
     let design = proposal.design;
@@ -555,7 +593,12 @@ pub fn soft_error_study(params: ExperimentParams, seu_rate: f64) -> SoftErrorRes
                 way.protection_ule = prot;
             }
         }
-        let mut sys = System::new(cfg.clone());
+        let mut sys = System::builder()
+            .config(cfg.clone())
+            .seu(seu_rate, params.seed ^ 0xABCD)
+            .build()
+            // hyvec-lint: allow(no-panic, "documented precondition (# Panics): a finite, non-negative SEU rate")
+            .expect("valid soft-error rate");
         // Hard faults at a rate that guarantees several faulty bits.
         let mut pf = vec![0.0f64; cfg.dl1.ways.len()];
         if let Some(i) = cfg.dl1.ways.iter().position(|w| w.ule_enabled) {
@@ -564,7 +607,6 @@ pub fn soft_error_study(params: ExperimentParams, seu_rate: f64) -> SoftErrorRes
         let mut rng = SmallRng::seed_from_u64(params.seed ^ 0x050F_7E44);
         sample_faults(sys.dl1_mut(), &pf, &mut rng);
         sample_faults(sys.il1_mut(), &pf, &mut rng);
-        sys.set_soft_error_rate(seu_rate, params.seed ^ 0xABCD);
         let mut corrected = 0;
         let mut detected = 0;
         let mut silent = 0;

@@ -118,6 +118,10 @@ impl ServeConfig {
                 other => return Err(format!("unknown serve flag {other}")),
             }
         }
+        config
+            .warm_params
+            .validate()
+            .map_err(|e| format!("bad --instructions: {e}"))?;
         Ok(config)
     }
 }
@@ -394,27 +398,10 @@ impl SweepServer {
     /// `GET /report/<artifact>/<scenario>?seed=&instructions=&format=`
     fn report_endpoint(&self, request: &Request) -> Response {
         let id = &request.path["/report/".len()..];
-        let mut params = ExperimentParams::default();
-        let mut format = Format::Text;
-        for (key, value) in &request.query {
-            let parsed: Result<(), String> = match key.as_str() {
-                "seed" => value
-                    .parse()
-                    .map(|s| params.seed = s)
-                    .map_err(|e| format!("bad seed {value:?}: {e}")),
-                "instructions" => value
-                    .parse()
-                    .map(|n| params.instructions = n)
-                    .map_err(|e| format!("bad instructions {value:?}: {e}")),
-                "format" => value.parse().map(|f| format = f),
-                other => Err(format!(
-                    "unknown query parameter {other:?} (expected seed, instructions, format)"
-                )),
-            };
-            if let Err(detail) = parsed {
-                return Response::error(400, &detail);
-            }
-        }
+        let (params, format) = match parse_report_query(&request.query) {
+            Ok(parsed) => parsed,
+            Err(detail) => return Response::error(400, &detail),
+        };
         if self.state.registry.get(id).is_none() {
             return Response::error(
                 404,
@@ -471,6 +458,38 @@ fn compute_render_set(id: &str, params: ExperimentParams) -> RenderSet {
     )
 }
 
+/// Parses the `/report` query (`seed`, `instructions`, `format`; the
+/// defaults otherwise) into validated parameters and a render format.
+/// The error is the body of the `400` answer.
+fn parse_report_query(query: &[(String, String)]) -> Result<(ExperimentParams, Format), String> {
+    let mut params = ExperimentParams::default();
+    let mut format = Format::Text;
+    for (key, value) in query {
+        match key.as_str() {
+            "seed" => {
+                params.seed = value
+                    .parse()
+                    .map_err(|e| format!("bad seed {value:?}: {e}"))?;
+            }
+            "instructions" => {
+                params.instructions = value
+                    .parse()
+                    .map_err(|e| format!("bad instructions {value:?}: {e}"))?;
+            }
+            "format" => format = value.parse()?,
+            other => {
+                return Err(format!(
+                    "unknown query parameter {other:?} (expected seed, instructions, format)"
+                ))
+            }
+        }
+    }
+    params
+        .validate()
+        .map_err(|e| format!("bad instructions: {e}"))?;
+    Ok((params, format))
+}
+
 fn method_not_allowed(allow: &'static str) -> Response {
     Response::error(405, &format!("use {allow}")).with_header("Allow", allow)
 }
@@ -507,6 +526,34 @@ mod tests {
         assert_eq!(c.warm_params.instructions, 2000);
         assert_eq!(c.warm_params.seed, 9);
         assert_eq!(c.max_cache_bytes, 8 * 1024 * 1024);
+    }
+
+    #[test]
+    fn report_query_parses_and_rejects_zero_instructions() {
+        let query = |pairs: &[(&str, &str)]| {
+            let pairs: Vec<(String, String)> = pairs
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            parse_report_query(&pairs)
+        };
+        assert_eq!(
+            query(&[]).unwrap(),
+            (ExperimentParams::default(), Format::Text)
+        );
+        let (params, format) =
+            query(&[("instructions", "2000"), ("seed", "9"), ("format", "json")]).unwrap();
+        assert_eq!((params.instructions, params.seed), (2000, 9));
+        assert_eq!(format, Format::Json);
+        let err = query(&[("instructions", "0")]).unwrap_err();
+        assert!(err.contains("instructions must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn zero_warm_instructions_is_rejected() {
+        let err = ServeConfig::from_args(["--instructions", "0"].iter().map(|s| s.to_string()))
+            .unwrap_err();
+        assert!(err.contains("instructions must be at least 1"), "{err}");
     }
 
     #[test]

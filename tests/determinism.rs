@@ -3,7 +3,7 @@
 //! worker count is not observable in the output.
 
 use hyvec_core::experiments::ExperimentParams;
-use hyvec_core::seed::derive_seed;
+use hyvec_core::seed::{derive_seed, fnv1a};
 use hyvec_core::sweep::{full_matrix, run_all};
 
 fn quick() -> ExperimentParams {
@@ -13,6 +13,9 @@ fn quick() -> ExperimentParams {
     }
 }
 
+/// FNV-1a of `run_all(quick(), 1).render()`.
+const REPORT_FINGERPRINT: u64 = 0x7a20_6e8e_9907_b99e;
+
 #[test]
 fn same_seed_gives_byte_identical_reports() {
     let first = run_all(quick(), 1);
@@ -21,6 +24,15 @@ fn same_seed_gives_byte_identical_reports() {
         first.render(),
         second.render(),
         "two sweeps with the same base seed must render identically"
+    );
+    // The report bytes are also pinned across commits, so a refactor
+    // that moves them fails here rather than going unnoticed. An
+    // intentional model change updates this constant, with a CHANGES
+    // entry that explains the change.
+    assert_eq!(
+        fnv1a(&first.render()),
+        REPORT_FINGERPRINT,
+        "the rendered report moved: update REPORT_FINGERPRINT only for an intentional model change"
     );
 }
 
