@@ -35,9 +35,10 @@
 //! single-artifact command, by `run-all`, serially or in parallel.
 //! `--filter` narrows any command by glob over experiment ids
 //! (e.g. `--filter 'fig*/A'`); `--format` selects the render backend.
-//! `--force-slow-path` routes every simulated access through the full
-//! EDC decode path even while fault-free — a diagnostic knob; the
-//! rendered report is byte-identical with or without it.
+//! `--force-slow-path` decodes every word every simulated access
+//! touches, pristine ones included, even while fault-free — the
+//! reference path; the rendered report is byte-identical with or
+//! without it.
 //! `--sim-threads` sets the worker-thread count of the epoch-parallel
 //! multi-core engine (default 1 = the worker phase runs inline); like
 //! `--jobs` and `--force-slow-path` it never changes a single byte of

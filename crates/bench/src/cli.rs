@@ -30,9 +30,9 @@ pub struct CliOptions {
     /// Honored by every entry point; `hyvec run-all` additionally
     /// defaults it to `BENCH_sweep.json`.
     pub bench_out: Option<String>,
-    /// Route every access through the full EDC slow path
-    /// (`--force-slow-path`). Purely diagnostic: the report is
-    /// byte-identical with or without it.
+    /// Decode every word every access touches, pristine ones
+    /// included (`--force-slow-path`): the reference path. The report
+    /// is byte-identical with or without it.
     pub force_slow_path: bool,
     /// Worker threads of the epoch-parallel multi-core engine
     /// (`--sim-threads`; default 1 = the worker phase runs inline).

@@ -17,9 +17,10 @@
 //! Each workload runs twice: once as-is (the fast path engages
 //! whenever the caches are fault-free) and once with
 //! [`set_force_slow_path`](hyvec_cachesim::cache::HybridCache::set_force_slow_path)
-//! routing every access through the full EDC machinery — the pre-PR
-//! behavior. On `faulty_line` the two figures converge by design: an
-//! armed fault map disables the fast path on its own.
+//! decoding every word every access touches, pristine ones included.
+//! On `faulty_line` the armed fault map moves the DL1 off the fast
+//! path, so there the as-is figure measures the per-word decode gate
+//! (only the faulty words decode) against decoding every word.
 //!
 //! The result serializes as the `BENCH_hotpath.json` artifact
 //! (schema `hyvec-bench-hotpath/v2`), written by `hyvec run-all`
@@ -209,9 +210,10 @@ fn build_system(w: &Workload) -> System {
     let mut sys = builder.build().expect("stock workload shapes are valid");
     if w.faulty {
         // Stuck bits on a handful of hot data words: the armed fault
-        // map forces the slow path on every DL1 access, and the
-        // unprotected 6T baseline delivers the faults silently — the
-        // costliest decode outcome.
+        // map moves every DL1 access onto the gated path, which
+        // decodes those words, and the unprotected 6T baseline
+        // delivers the faults silently — the costliest decode
+        // outcome.
         for set in 0..4 {
             for way in 0..2 {
                 sys.dl1_mut().set_stuck_bits(

@@ -1,13 +1,21 @@
 //! The bit-accurate functional hybrid cache.
 //!
-//! Every stored word (data and tag) is kept as a real EDC codeword
-//! produced by the active code of the writing mode. Hard faults are
-//! stuck-at bits overlaid on every read; soft errors are injected bit
-//! flips. The decode path therefore exercises the actual
-//! [`hyvec_edc`] machinery, counting corrections, detected
-//! uncorrectable errors and — crucially for the unprotected baselines —
-//! *silent corruptions*, where the delivered payload differs from what
-//! was written without any error signal.
+//! Every stored word (data and tag) is a real EDC codeword produced by
+//! the active code of the writing mode. Hard faults are stuck-at bits
+//! overlaid on every read; soft errors are injected bit flips. The
+//! decode path therefore exercises the actual [`hyvec_edc`] machinery,
+//! counting corrections, detected uncorrectable errors and — crucially
+//! for the unprotected baselines — *silent corruptions*, where the
+//! delivered payload differs from what was written without any error
+//! signal.
+//!
+//! Every write stores the same thing: the active code's codeword of
+//! the deterministic payload [`value_for`] of the word address, or of
+//! the line's tag. A stored codeword is therefore a pure function of
+//! the line's address and the mode, and the cache derives it on demand
+//! instead of keeping it. It records only where a stored word differs
+//! from that: soft flips, and stores that land in another address's
+//! line through a faulty tag (a *false hit*).
 
 use crate::config::{CacheConfig, Mode, WaySpec};
 use crate::stats::CacheStats;
@@ -160,37 +168,48 @@ pub struct AccessOutcome {
 /// with bit-identical counters:
 ///
 /// * the **fast path** engages while the cache is *fault-free* — no
-///   stuck-at faults installed and no soft errors injected since the
-///   last flush ([`HybridCache::is_fault_free`]). Every stored word
-///   is then exactly the codeword the active code produced, so tag
-///   decode is an identity check, payload verification can never
-///   fail, and both are skipped entirely: a lookup is a plain tag
-///   compare and a hit touches only the LRU stamp;
-/// * the **slow path** runs the full EDC decode/verify machinery the
-///   moment any fault or soft error is present (or when forced via
-///   [`HybridCache::set_force_slow_path`], for equivalence tests and
-///   benchmarks).
+///   stuck-at faults installed and no soft flip recorded
+///   ([`HybridCache::is_fault_free`]). Every stored word is then
+///   exactly the codeword the active code produced, so tag decode is
+///   an identity check, payload verification can never fail, and both
+///   are skipped entirely: a lookup is a plain tag compare and a hit
+///   touches only the LRU stamp;
+/// * the **gated path** runs once any fault or flip is present. It
+///   decodes a tag or data word only when its slot carries a stuck bit
+///   or a flip: it rebuilds the stored word as the derived codeword
+///   XOR the flip, overlays the stuck bits and runs the real decoder.
+///   A pristine slot decodes to what was written by construction, so
+///   its tag is a plain compare and its read is clean without a
+///   decode. A read through a *false hit* — a faulty tag that decodes
+///   to the wanted tag — always decodes: the line's words were written
+///   for another address.
 ///
-/// Storage stays fully materialized in both tiers (fills and the
-/// fault-free write path keep every word a real codeword), so the
-/// cache can drop from fast to slow at any time — e.g. when
-/// [`HybridCache::set_stuck_bits`] arms a fault mid-run — without any
-/// re-encoding step.
+/// [`HybridCache::set_force_slow_path`] makes the gated path decode
+/// every word, pristine ones included: the reference the equivalence
+/// tests and benchmarks compare both tiers against.
+///
+/// Nothing is materialized in either tier, so the cache can drop from
+/// fast to gated at any time — e.g. when [`HybridCache::set_stuck_bits`]
+/// arms a fault mid-run — and back once stores, fills or a mode switch
+/// have cleared every flip and no fault is left.
 ///
 /// # Storage layout
 ///
 /// Line state is struct-of-arrays: `valid`/`dirty`/`tags`/
-/// `tag_words`/`lru_stamps` are flat vectors indexed by `(way, set)`
-/// through the private `line_index` helper (set-major, so the ways of
-/// one set are contiguous and a lookup or victim scan walks a
-/// cache-friendly slice), and all data codewords live in one flat
-/// `words` arena at `line_index * words_per_line + slot`. There is no
-/// per-line heap allocation. A per-line `fault_masks` bitmask (bit
-/// `s` = word slot `s` has a stuck-at entry, saturating at bit 63)
-/// lets the read path skip the fault probe for the common pristine
-/// word; the faults themselves live in short per-line `(slot, bits)`
-/// lists rather than a hash map, so even a faulty word costs a
-/// one-or-two entry linear scan instead of a hash.
+/// `lru_stamps` are flat vectors indexed by `(way, set)` through the
+/// private `line_index` helper (set-major, so the ways of one set are
+/// contiguous and a lookup or victim scan walks a cache-friendly
+/// slice). No codeword is stored: data and tag codewords derive from
+/// the line's address (its plain tag, set and the word offset) and the
+/// mode. Stuck-at faults and soft flips live in short per-line
+/// `(slot, bits)` and `(slot, xor)` lists
+/// rather than hash maps, each gated by a per-line slot bitmask (bit
+/// `s` = slot `s` has an entry, saturating at bit 63), so the common
+/// pristine word costs one mask test and even a faulty word costs a
+/// one-or-two entry linear scan instead of a hash. A fill drops its
+/// line's flips and a store drops its word's flip, just as rewriting a
+/// stored word would; a store through a false hit instead records how
+/// its payload's codeword differs from the line's own.
 #[derive(Debug)]
 pub struct HybridCache {
     config: CacheConfig,
@@ -207,29 +226,27 @@ pub struct HybridCache {
     set_mask: u64,
     /// `(1 << tag_bits) - 1`.
     tag_mask: u64,
-    /// `log2(word_bytes)` when the word size is a power of two (the
-    /// common case); `None` falls back to division.
-    word_shift: Option<u32>,
+    /// `log2(word_bytes)`: `validate()` guarantees whole-byte words
+    /// that divide a power-of-two line, so the word size is a power of
+    /// two too.
+    word_shift: u32,
     /// SoA line state; see the type docs for the layout.
     valid: Vec<bool>,
     dirty: Vec<bool>,
-    /// Plain (unencoded) tags, compared directly by the fast path; in
-    /// a fault-free cache the stored codeword decodes back to exactly
-    /// this value.
+    /// Plain (unencoded) tags; a line's stored tag codeword is the
+    /// active tag code's encoding of this value.
     tags: Vec<u64>,
-    /// Stored tag codewords (as written, before faults).
-    tag_words: Vec<u64>,
     lru_stamps: Vec<u64>,
-    /// Flat data-codeword arena.
-    words: Vec<u64>,
     /// Per-line bitmask of word slots with stuck-at entries.
     fault_masks: Vec<u64>,
+    /// Per-line bitmask of word slots with soft flips.
+    flip_masks: Vec<u64>,
     /// Which ways participate in the current mode (recomputed on mode
     /// switches, so the hot loop is one slice load per way).
     enabled_now: Vec<bool>,
     /// Per-way: the active tag codec is [`Protection::None`]
     /// (recomputed on mode switches). A plain way's tag decode is a
-    /// mask-and-compare, so the slow path never touches the (large)
+    /// mask-and-compare, so the gated path never touches the (large)
     /// codec structs for it.
     tag_plain_now: Vec<bool>,
     /// Per-way: the active data codec is [`Protection::None`].
@@ -240,20 +257,24 @@ pub struct HybridCache {
     /// Stuck-at faults per line, each a short list sorted by slot.
     /// Lines are overwhelmingly fault-free (gated by `fault_masks`),
     /// and a faulty line rarely carries more than a couple of entries,
-    /// so a linear probe beats a hash map on the slow path.
+    /// so a linear probe beats a hash map on the gated path.
     faults: Vec<Vec<(u64, StuckBits)>>,
     /// Total installed fault entries across all lines (the
     /// `is_fault_free` gate, without walking `faults`).
     fault_entries: usize,
+    /// Per line, `(slot, xor)` pairs: how each listed stored word
+    /// differs from its derived codeword. That is the XOR of the soft
+    /// flips that landed on it since it was last written, or, after a
+    /// store through a false tag hit, the stored payload's codeword
+    /// XOR the line's own.
+    flips: Vec<Vec<(u64, u64)>>,
+    /// Total flip entries across all lines.
+    flip_entries: usize,
     mode: Mode,
     lru_clock: u64,
     stats: CacheStats,
-    /// Whether any soft error has been injected since the last flush
-    /// (conservative: cleared only by [`HybridCache::set_mode`], which
-    /// invalidates every line the flip could still live in).
-    soft_flips: bool,
-    /// Diagnostic override: route every access through the slow path
-    /// even when fault-free.
+    /// Reference override: route every access through the gated path
+    /// and decode every word, pristine ones included.
     force_slow: bool,
 }
 
@@ -264,7 +285,7 @@ pub struct HybridCache {
 static FORCE_SLOW_DEFAULT: AtomicBool = AtomicBool::new(false);
 
 /// Sets the process-global slow-path pin: caches constructed while it
-/// is `true` start with the slow path forced, exactly as if
+/// is `true` start on the reference path, exactly as if
 /// [`HybridCache::set_force_slow_path`] had been called on each.
 /// Counters are bit-identical either way, so flipping this mid-run
 /// only ever changes timing, never results.
@@ -347,10 +368,7 @@ impl HybridCache {
         let set_shift = config.sets().trailing_zeros();
         let set_mask = config.sets() - 1;
         let tag_mask = (1u64 << config.tag_bits) - 1;
-        let word_bytes = u64::from(config.word_bits) / 8;
-        let word_shift = word_bytes
-            .is_power_of_two()
-            .then(|| word_bytes.trailing_zeros());
+        let word_shift = (config.word_bits / 8).trailing_zeros();
         Ok(HybridCache {
             config,
             ways,
@@ -364,20 +382,20 @@ impl HybridCache {
             valid: vec![false; lines],
             dirty: vec![false; lines],
             tags: vec![0; lines],
-            tag_words: vec![0; lines],
             lru_stamps: vec![0; lines],
-            words: vec![0; lines * words_per_line],
             fault_masks: vec![0; lines],
+            flip_masks: vec![0; lines],
             enabled_now,
             tag_plain_now,
             data_plain_now,
             word_mask,
             faults: vec![Vec::new(); lines],
             fault_entries: 0,
+            flips: vec![Vec::new(); lines],
+            flip_entries: 0,
             mode,
             lru_clock: 0,
             stats: CacheStats::default(),
-            soft_flips: false,
             force_slow: global_force_slow_path(),
         })
     }
@@ -409,11 +427,11 @@ impl HybridCache {
         set as usize * self.num_ways + way
     }
 
-    /// The bit `slot` occupies in a line's fault mask. Slots past 63
-    /// share the top bit, which then conservatively means "probe the
-    /// fault map".
+    /// The bit `slot` occupies in a line's fault and flip masks. Slots
+    /// past 63 share the top bit, which then conservatively means
+    /// "probe the list".
     #[inline]
-    fn fault_mask_bit(slot: u64) -> u64 {
+    fn slot_bit(slot: u64) -> u64 {
         1u64 << slot.min(63)
     }
 
@@ -435,7 +453,7 @@ impl HybridCache {
             // Rebuild this line's slot mask from the surviving entries.
             let mut mask = 0u64;
             for &(s, _) in entries.iter() {
-                mask |= Self::fault_mask_bit(s);
+                mask |= Self::slot_bit(s);
             }
             self.fault_masks[li] = mask;
         } else {
@@ -447,7 +465,7 @@ impl HybridCache {
                     self.fault_entries += 1;
                 }
             }
-            self.fault_masks[li] |= Self::fault_mask_bit(slot.slot);
+            self.fault_masks[li] |= Self::slot_bit(slot.slot);
         }
     }
 
@@ -461,40 +479,84 @@ impl HybridCache {
     }
 
     /// Whether every stored word is guaranteed pristine: no stuck-at
-    /// faults installed and no soft error injected since the last
-    /// flush. While this holds, [`HybridCache::access`] runs the
-    /// EDC-free fast path (see the type docs).
+    /// faults installed and no soft flip recorded (a store, a fill or
+    /// a mode switch clears the flips it overwrites). While this
+    /// holds, [`HybridCache::access`] runs the EDC-free fast path (see
+    /// the type docs).
     pub fn is_fault_free(&self) -> bool {
-        self.fault_entries == 0 && !self.soft_flips
+        self.fault_entries == 0 && self.flip_entries == 0
     }
 
-    /// Forces every access through the full EDC slow path even when
+    /// Pins the reference path: every access goes through the gated
+    /// path and decodes every word, pristine ones included, even when
     /// the cache is fault-free. Counters are bit-identical either way
-    /// (asserted by the equivalence property suite); this knob exists
-    /// so tests and `benches/hotpath.rs` can measure the armed slow
-    /// path against the fast path on the same fault-free workload.
+    /// (asserted by the equivalence property suites); this knob exists
+    /// so tests and benchmarks can compare both tiers and the per-word
+    /// gate against full decoding on the same workload.
     pub fn set_force_slow_path(&mut self, force: bool) {
         self.force_slow = force;
     }
 
     fn fast_path_ready(&self) -> bool {
-        !self.force_slow && self.fault_entries == 0 && !self.soft_flips
+        !self.force_slow && self.is_fault_free()
     }
 
     /// Flips one stored bit (a soft error / SEU). The flip lands in
-    /// the *stored* word, so a later rewrite clears it.
+    /// the *stored* word, so a later rewrite — a store to the word or
+    /// a fill of its line — clears it.
     ///
     /// # Panics
     ///
-    /// Panics if the slot is out of range.
+    /// Panics if the slot's way or set is out of range.
     pub fn inject_soft_error(&mut self, slot: WordSlot, bit: u32) {
         let li = self.line_index(slot.way, slot.set);
-        if slot.slot as usize == self.words_per_line {
-            self.tag_words[li] ^= 1u64 << bit;
-        } else {
-            self.words[li * self.words_per_line + slot.slot as usize] ^= 1u64 << bit;
+        let xor = self.flip_at(li, slot.slot) ^ (1u64 << bit);
+        self.set_flip(li, slot.slot, xor);
+    }
+
+    /// How the word at `(li, slot)` differs from its derived codeword
+    /// (0 when no entry is recorded).
+    #[inline]
+    fn flip_at(&self, li: usize, slot: u64) -> u64 {
+        if self.flip_masks[li] & Self::slot_bit(slot) != 0 {
+            if let Some(&(_, xor)) = self.flips[li].iter().find(|&&(s, _)| s == slot) {
+                return xor;
+            }
         }
-        self.soft_flips = true;
+        0
+    }
+
+    /// Records that the word at `(li, slot)` holds its derived codeword
+    /// XOR `xor`; zero drops the entry.
+    #[inline]
+    fn set_flip(&mut self, li: usize, slot: u64, xor: u64) {
+        if xor == 0 && self.flip_masks[li] & Self::slot_bit(slot) == 0 {
+            return;
+        }
+        let entries = &mut self.flips[li];
+        match (entries.iter().position(|&(s, _)| s == slot), xor) {
+            (Some(i), 0) => {
+                entries.swap_remove(i);
+                self.flip_entries -= 1;
+            }
+            (Some(i), _) => entries[i].1 = xor,
+            (None, 0) => {}
+            (None, _) => {
+                entries.push((slot, xor));
+                self.flip_entries += 1;
+            }
+        }
+        self.flip_masks[li] = entries.iter().fold(0, |m, &(s, _)| m | Self::slot_bit(s));
+    }
+
+    /// Drops every flip on line `li`: the line was just refilled.
+    #[inline]
+    fn clear_line_flips(&mut self, li: usize) {
+        if self.flip_masks[li] != 0 {
+            self.flip_entries -= self.flips[li].len();
+            self.flips[li].clear();
+            self.flip_masks[li] = 0;
+        }
     }
 
     /// Switches operating mode, flushing the cache (dirty lines are
@@ -523,23 +585,16 @@ impl HybridCache {
         for (plain, way) in self.data_plain_now.iter_mut().zip(&self.ways) {
             *plain = matches!(way.data_code(mode), Codec::None(_));
         }
-        // Every line a past soft error could still inhabit is now
-        // invalid, and a fill rewrites the whole line (tag included),
-        // so the flipped bits can never be observed again.
-        self.soft_flips = false;
-        writebacks
-    }
-
-    /// The payload a clean read of the word at `word_addr` must
-    /// deliver: the deterministic value truncated to the configured
-    /// word width (the encoder ignores bits above `word_bits`).
-    fn expected_payload(&self, word_addr: u64) -> u64 {
-        let bits = self.config.word_bits;
-        if bits >= 64 {
-            value_for(word_addr)
-        } else {
-            value_for(word_addr) & ((1u64 << bits) - 1)
+        // Every line is now invalid and a fill rewrites the whole line
+        // (tag included), so no recorded flip can be observed again.
+        if self.flip_entries != 0 {
+            for (entries, mask) in self.flips.iter_mut().zip(&mut self.flip_masks) {
+                entries.clear();
+                *mask = 0;
+            }
+            self.flip_entries = 0;
         }
+        writebacks
     }
 
     #[inline]
@@ -551,46 +606,77 @@ impl HybridCache {
     }
 
     /// Splits `addr` into the word's slot within its line and the
-    /// word-aligned byte address, dividing only when the word size is
-    /// not a power of two.
+    /// word-aligned byte address.
     #[inline]
     fn word_slot_and_addr(&self, addr: u64) -> (u64, u64) {
         let offset = addr & (self.config.line_bytes - 1);
-        match self.word_shift {
-            Some(s) => (offset >> s, (addr >> s) << s),
-            None => {
-                let word_bytes = u64::from(self.config.word_bits) / 8;
-                (offset / word_bytes, addr / word_bytes * word_bytes)
-            }
-        }
+        let s = self.word_shift;
+        (offset >> s, (addr >> s) << s)
     }
 
-    /// Applies any stuck-at fault installed at `(li, slot)` to the raw
-    /// stored word. The per-line slot mask filters out the
-    /// overwhelmingly common pristine case before the (short, linear)
-    /// fault-list probe.
+    /// Whether a read of `(li, slot)` must decode: always on the
+    /// reference path, else only when the slot carries a stuck bit or
+    /// a flip. Anything else decodes to what was written.
     #[inline]
-    fn apply_faults(&self, li: usize, slot: u64, raw: u64) -> u64 {
-        if self.fault_masks[li] & Self::fault_mask_bit(slot) != 0 {
-            if let Some(&(_, f)) = self.faults[li].iter().find(|&&(s, _)| s == slot) {
-                return f.apply(raw);
-            }
-        }
-        raw
+    fn suspect(&self, li: usize, slot: u64) -> bool {
+        self.force_slow || (self.fault_masks[li] | self.flip_masks[li]) & Self::slot_bit(slot) != 0
     }
 
-    /// Reads one stored word through the fault layer, addressed as a
-    /// [`WordSlot`] (tests exercise the fault plumbing through this;
-    /// the hot paths index the arenas directly).
+    /// The word a read of `(li, slot)` sees when `codeword` is its
+    /// derived codeword: the codeword XOR the slot's recorded
+    /// difference, then its stuck-at bits. The per-line slot masks
+    /// filter out the overwhelmingly common pristine case before the
+    /// (short, linear) list probes.
+    #[inline]
+    fn read_word(&self, li: usize, slot: u64, codeword: u64) -> u64 {
+        let stored = codeword ^ self.flip_at(li, slot);
+        if self.fault_masks[li] & Self::slot_bit(slot) != 0 {
+            if let Some(&(_, f)) = self.faults[li].iter().find(|&&(s, _)| s == slot) {
+                return f.apply(stored);
+            }
+        }
+        stored
+    }
+
+    /// `word_addr` moved into the line tagged `line_tag` (same set,
+    /// same offset): the address the line's copy of that word was
+    /// written for. It equals `word_addr` exactly when the line is the
+    /// address's own.
+    #[inline]
+    fn retag(&self, word_addr: u64, line_tag: u64) -> u64 {
+        let shift = self.line_shift + self.set_shift;
+        (word_addr & !(self.tag_mask << shift)) | (line_tag << shift)
+    }
+
+    /// The active data code of `way` applied to the payload of
+    /// `word_addr`. An unprotected way's encode is just the word mask.
+    #[inline]
+    fn data_codeword(&self, way: usize, word_addr: u64) -> u64 {
+        if self.data_plain_now[way] {
+            value_for(word_addr) & self.word_mask
+        } else {
+            self.ways[way]
+                .data_code(self.mode)
+                .encode(value_for(word_addr))
+        }
+    }
+
+    /// Reads one stored word through the flip and fault layers,
+    /// addressed as a [`WordSlot`] of a valid line (tests exercise the
+    /// fault plumbing through this; the hot paths derive the codeword
+    /// from the access address).
     #[cfg(test)]
     fn read_stored(&self, slot: WordSlot) -> u64 {
         let li = self.line_index(slot.way, slot.set);
-        let raw = if slot.slot as usize == self.words_per_line {
-            self.tag_words[li]
+        let codeword = if slot.slot as usize == self.words_per_line {
+            self.ways[slot.way]
+                .tag_code(self.mode)
+                .encode(self.tags[li])
         } else {
-            self.words[li * self.words_per_line + slot.slot as usize]
+            let line_addr = ((self.tags[li] << self.set_shift) | slot.set) << self.line_shift;
+            self.data_codeword(slot.way, line_addr + (slot.slot << self.word_shift))
         };
-        self.apply_faults(li, slot.slot, raw)
+        self.read_word(li, slot.slot, codeword)
     }
 
     /// Looks up `addr`, returning the hit way if any, and counts tag
@@ -603,19 +689,29 @@ impl HybridCache {
         let mut detected = 0;
         let mut hit_way = None;
         for w in 0..self.num_ways {
-            if !self.enabled_now[w] || !self.valid[base + w] {
+            let li = base + w;
+            if !self.enabled_now[w] || !self.valid[li] {
                 continue;
             }
-            let stored = self.apply_faults(base + w, tag_slot, self.tag_words[base + w]);
-            if self.tag_plain_now[w] {
-                // Unprotected tag: decode is a mask, so skip the codec
-                // struct and compare in place.
-                if stored & self.tag_mask == tag {
+            if !self.suspect(li, tag_slot) {
+                // Pristine tag: its codeword decodes to exactly the
+                // plain tag.
+                if self.tags[li] == tag {
                     hit_way = Some(w);
                 }
                 continue;
             }
-            match self.ways[w].tag_code(mode).decode(stored) {
+            if self.tag_plain_now[w] {
+                // Unprotected tag: the codeword is the tag and decode
+                // is a mask, so skip the codec struct.
+                if self.read_word(li, tag_slot, self.tags[li]) & self.tag_mask == tag {
+                    hit_way = Some(w);
+                }
+                continue;
+            }
+            let code = self.ways[w].tag_code(mode);
+            let stored = self.read_word(li, tag_slot, code.encode(self.tags[li]));
+            match code.decode(stored) {
                 Decoded::Clean { data } => {
                     if data == tag {
                         hit_way = Some(w);
@@ -639,8 +735,8 @@ impl HybridCache {
     /// Performs one access. `addr` is a byte address; writes store the
     /// deterministic payload for the word, reads verify it.
     ///
-    /// Dispatches between the fault-free fast path and the full EDC
-    /// slow path (see the type docs); the two produce bit-identical
+    /// Dispatches between the fault-free fast path and the gated EDC
+    /// path (see the type docs); the two produce bit-identical
     /// counters and outcomes whenever both are applicable.
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
         let (set, tag) = self.index(addr);
@@ -650,25 +746,24 @@ impl HybridCache {
             self.stats.writes += 1;
         }
         if self.fast_path_ready() {
-            self.access_fast(addr, is_write, set, tag)
+            self.access_fast(is_write, set, tag)
         } else {
             // Both the word slot and the verified payload address
-            // derive from the configured word width (the same slot the
-            // fill wrote with `value_for`).
+            // derive from the configured word width.
             let (word_idx, word_addr) = self.word_slot_and_addr(addr);
-            self.access_slow(addr, is_write, set, tag, word_idx, word_addr)
+            self.access_gated(is_write, set, tag, word_idx, word_addr)
         }
     }
 
     /// The fault-free fast path: no stored word can decode to anything
     /// but the value written, so tag matching is a plain compare and
     /// payload verification is skipped. Counters move exactly as in
-    /// [`HybridCache::access_slow`]: a fault-free slow access always
+    /// [`HybridCache::access_gated`]: a fault-free gated access always
     /// yields `corrected == detected == silent == 0`.
-    fn access_fast(&mut self, addr: u64, is_write: bool, set: u64, tag: u64) -> AccessOutcome {
+    fn access_fast(&mut self, is_write: bool, set: u64, tag: u64) -> AccessOutcome {
         let mut outcome = AccessOutcome::default();
         let base = set as usize * self.num_ways;
-        // Last match wins, mirroring the slow lookup's scan order. The
+        // Last match wins, mirroring the gated lookup's scan order. The
         // set's ways are one contiguous slice of each SoA vector.
         let mut hit_way = None;
         for w in 0..self.num_ways {
@@ -685,14 +780,13 @@ impl HybridCache {
             None => {
                 self.stats.misses += 1;
                 let victim = self.choose_victim(set);
-                outcome.writeback = self.fill(victim, set, tag, addr);
+                outcome.writeback = self.fill(victim, set, tag);
                 victim
             }
         };
         if is_write {
-            // The stored word already holds the encoded deterministic
-            // payload (the fill materialized it, and a fault-free
-            // store would rewrite the identical codeword), so only
+            // A store rewrites the codeword the word already derives
+            // to, and a fault-free cache has no flip to clear, so only
             // the dirty bit moves.
             self.dirty[base + way] = true;
         }
@@ -700,11 +794,11 @@ impl HybridCache {
         outcome
     }
 
-    /// The full EDC path: decode every candidate tag, decode and
-    /// verify loaded payloads, re-encode stores.
-    fn access_slow(
+    /// The gated EDC path: decode the candidate tags and the loaded
+    /// payload whose slots are suspect (every one when forced), and
+    /// let stores clear their word's flip.
+    fn access_gated(
         &mut self,
-        addr: u64,
         is_write: bool,
         set: u64,
         tag: u64,
@@ -724,33 +818,33 @@ impl HybridCache {
             None => {
                 self.stats.misses += 1;
                 let victim = self.choose_victim(set);
-                outcome.writeback = self.fill(victim, set, tag, addr);
+                outcome.writeback = self.fill(victim, set, tag);
                 victim
             }
         };
 
         let li = self.line_index(way, set);
+        // On a false hit (a faulty tag decoding to `tag`) the line's
+        // words were written for another address.
+        let line_word_addr = self.retag(word_addr, self.tags[li]);
         if is_write {
-            // Store: encode the new payload with the active code. An
-            // unprotected way's encode is just the word mask.
-            let encoded = if self.data_plain_now[way] {
-                value_for(word_addr) & self.word_mask
+            // Store: the word now holds its payload's codeword. That is
+            // its derived codeword unless the hit was false.
+            let xor = if line_word_addr == word_addr {
+                0
             } else {
-                self.ways[way].data_code(mode).encode(value_for(word_addr))
+                self.data_codeword(way, word_addr) ^ self.data_codeword(way, line_word_addr)
             };
-            self.words[li * self.words_per_line + word_idx as usize] = encoded;
+            self.set_flip(li, word_idx, xor);
             self.dirty[li] = true;
-            self.lru_stamps[li] = self.lru_clock;
-        } else {
-            // Load: decode through faults and verify the payload —
-            // truncated to the stored word width, exactly as the
-            // encoder stored it.
-            let expected = self.expected_payload(word_addr);
-            let raw = self.words[li * self.words_per_line + word_idx as usize];
-            let stored = self.apply_faults(li, word_idx, raw);
+        } else if line_word_addr != word_addr || self.suspect(li, word_idx) {
+            // Load of a suspect word: rebuild what the cells hold and
+            // verify the payload — truncated to the stored word width,
+            // exactly as the encoder stores it.
+            let expected = value_for(word_addr) & self.word_mask;
+            let stored = self.read_word(li, word_idx, self.data_codeword(way, line_word_addr));
             if self.data_plain_now[way] {
-                // Unprotected data: decode is the word mask, and every
-                // read is clean by construction.
+                // Unprotected data: decode is the word mask.
                 if stored & self.word_mask != expected {
                     outcome.silent += 1;
                 }
@@ -772,8 +866,10 @@ impl HybridCache {
                     }
                 }
             }
-            self.lru_stamps[li] = self.lru_clock;
         }
+        // A load of a pristine word of the address's own line is clean
+        // by construction.
+        self.lru_stamps[li] = self.lru_clock;
 
         outcome.corrected = corrected;
         outcome.detected = detected;
@@ -817,24 +913,13 @@ impl HybridCache {
     }
 
     /// Fills `(set, tag)` into `way`, returning whether a dirty victim
-    /// was evicted.
-    fn fill(&mut self, way: usize, set: u64, tag: u64, addr: u64) -> bool {
-        let mode = self.mode;
-        let line_base = (addr >> self.line_shift) << self.line_shift;
-        let word_bytes = u64::from(self.config.word_bits) / 8;
+    /// was evicted. The line's codewords are derived, so a fill only
+    /// drops the flips the rewrite overwrites.
+    fn fill(&mut self, way: usize, set: u64, tag: u64) -> bool {
         let li = self.line_index(way, set);
-        let data_code = self.ways[way].data_code(mode);
-        let start = li * self.words_per_line;
-        for (i, word) in self.words[start..start + self.words_per_line]
-            .iter_mut()
-            .enumerate()
-        {
-            let word_addr = line_base + i as u64 * word_bytes;
-            *word = data_code.encode(value_for(word_addr));
-        }
         let writeback = self.valid[li] && self.dirty[li];
+        self.clear_line_flips(li);
         self.tags[li] = tag;
-        self.tag_words[li] = self.ways[way].tag_code(mode).encode(tag);
         self.valid[li] = true;
         self.dirty[li] = false;
         self.lru_stamps[li] = self.lru_clock;
@@ -1225,6 +1310,112 @@ mod tests {
         }
     }
 
+    fn ws(way: usize, set: u64, slot: u64) -> WordSlot {
+        WordSlot { way, set, slot }
+    }
+
+    /// The way holding the line at `addr` (which must be resident).
+    fn resident_way(c: &HybridCache, addr: u64) -> usize {
+        let (set, tag) = c.index(addr);
+        (0..c.num_ways)
+            .find(|&w| {
+                let li = c.line_index(w, set);
+                c.valid[li] && c.tags[li] == tag
+            })
+            .expect("line resident")
+    }
+
+    #[test]
+    fn a_store_clears_the_flip_on_its_word() {
+        let mut c = cache();
+        c.set_force_slow_path(true);
+        c.access(0, false);
+        c.inject_soft_error(ws(resident_way(&c, 0), 0, 1), 3);
+        assert_eq!(c.access(4, false).silent, 1, "the flip is read");
+        assert!(c.access(4, true).hit);
+        assert!(c.is_fault_free(), "the store overwrote the only flip");
+        let out = c.access(4, false);
+        assert_eq!((out.silent, out.detected), (0, 0), "read after store");
+    }
+
+    #[test]
+    fn a_fill_drops_every_flip_on_its_line() {
+        let mut c = hybrid_a_proposal();
+        c.set_force_slow_path(true);
+        let sets = c.config().sets();
+        let line = c.config().line_bytes;
+        c.access(0, false);
+        for slot in [0, 3, 7] {
+            for bit in [1, 30] {
+                c.inject_soft_error(ws(7, 0, slot), bit);
+            }
+        }
+        assert!(!c.is_fault_free());
+        // The ULE way is direct-mapped at ULE: the conflicting line
+        // evicts and refills it.
+        assert!(!c.access(sets * line, false).hit);
+        assert!(c.is_fault_free(), "the refill dropped every flip");
+        for offset in (0..line).step_by(4) {
+            let out = c.access(sets * line + offset, false);
+            assert!(out.hit);
+            assert_eq!((out.corrected, out.detected, out.silent), (0, 0, 0));
+        }
+    }
+
+    #[test]
+    fn a_mode_switch_restores_fault_freedom() {
+        let mut c = hybrid_a_proposal();
+        c.access(0, true);
+        // Flips on a valid line, an invalid line and a way gated off
+        // at ULE.
+        c.inject_soft_error(ws(7, 0, 2), 4);
+        c.inject_soft_error(ws(7, 9, 8), 0);
+        c.inject_soft_error(ws(1, 3, 5), 7);
+        assert!(!c.is_fault_free());
+        assert_eq!(c.set_mode(Mode::Hp), 1);
+        assert!(c.is_fault_free(), "the flush dropped every flip");
+    }
+
+    #[test]
+    fn a_tag_flip_is_seen_by_the_next_lookup() {
+        // Unprotected tag: the flipped tag no longer matches.
+        let mut c = cache();
+        c.access(0, false);
+        let way = resident_way(&c, 0);
+        c.inject_soft_error(ws(way, 0, 8), 0);
+        assert!(!c.access(0, false).hit, "flipped plain tag must miss");
+        // SECDED tag: the flip is corrected and the line still hits.
+        let mut c = hybrid_a_proposal();
+        c.access(0, false);
+        c.inject_soft_error(ws(7, 0, 8), 5);
+        let out = c.access(0, false);
+        assert!(out.hit);
+        assert_eq!(out.corrected, 1, "SECDED corrects the tag flip");
+    }
+
+    #[test]
+    fn a_false_tag_hit_reads_the_resident_lines_data() {
+        for force in [false, true] {
+            let mut c = cache();
+            c.set_force_slow_path(force);
+            // Lines `a` and `b` share set 0; their tags are 0 and 1.
+            let (a, b) = (0, c.config().sets() * c.config().line_bytes);
+            c.access(a, false);
+            // Bit 0 of `a`'s unprotected tag stuck at 1 reads as `b`'s.
+            let way = resident_way(&c, a);
+            c.set_stuck_bits(ws(way, 0, 8), StuckBits { mask: 1, value: 1 });
+            let out = c.access(b, false);
+            assert!(out.hit, "the faulty tag matches b");
+            assert_eq!(out.silent, 1, "b is handed a's data");
+            // A store through the false hit lands `b`'s payload in
+            // `a`'s line: that word reads back clean, the rest of the
+            // line still holds `a`'s data.
+            assert!(c.access(b + 4, true).hit);
+            assert_eq!(c.access(b + 4, false).silent, 0);
+            assert_eq!(c.access(b + 8, false).silent, 1);
+        }
+    }
+
     #[test]
     fn fault_free_tracking_arms_and_disarms_the_fast_path() {
         let mut c = cache();
@@ -1241,7 +1432,7 @@ mod tests {
         c.set_stuck_bits(slot, StuckBits { mask: 0, value: 0 });
         assert!(c.is_fault_free());
         // A soft error disarms the fast path and is actually seen by
-        // the unprotected slow path...
+        // the unprotected gated path...
         let way = (0..8)
             .find(|&w| c.valid[c.line_index(w, 0)])
             .expect("line filled");

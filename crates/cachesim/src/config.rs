@@ -32,6 +32,12 @@ pub enum ConfigError {
         /// The offending line size.
         line_bytes: u64,
     },
+    /// The protected-word width is not a whole number of bytes, so
+    /// byte addresses cannot be split into word slots.
+    WordNotWholeBytes {
+        /// The offending protected-word width.
+        word_bits: u32,
+    },
     /// The line does not hold a whole number of protected words.
     LineNotWholeWords {
         /// Configured line size in bits.
@@ -111,6 +117,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::LineNotPowerOfTwo { line_bytes } => {
                 write!(f, "line size must be a power of two (got {line_bytes}B)")
+            }
+            ConfigError::WordNotWholeBytes { word_bits } => {
+                write!(f, "word width must be whole bytes (got {word_bits} bits)")
             }
             ConfigError::LineNotWholeWords {
                 line_bits,
@@ -310,6 +319,13 @@ impl CacheConfig {
                 line_bytes: self.line_bytes,
             });
         }
+        if !self.word_bits.is_multiple_of(8) {
+            return Err(ConfigError::WordNotWholeBytes {
+                word_bits: self.word_bits,
+            });
+        }
+        // A whole-byte word that divides a power-of-two line is itself
+        // a power of two bytes, so word slots are shifts, not division.
         if !(self.line_bytes * 8).is_multiple_of(u64::from(self.word_bits)) {
             return Err(ConfigError::LineNotWholeWords {
                 line_bits: self.line_bytes * 8,
@@ -620,6 +636,13 @@ mod tests {
                 word_bits: 48,
             })
         );
+        let mut nibble_words = valid.clone();
+        nibble_words.word_bits = 4;
+        assert_eq!(
+            nibble_words.validate(),
+            Err(ConfigError::WordNotWholeBytes { word_bits: 4 })
+        );
+        assert!(crate::cache::HybridCache::try_new(nibble_words, Mode::Hp).is_err());
         // The error message keeps the historical assertion wording.
         assert!(ConfigError::NoUleWay
             .to_string()

@@ -910,7 +910,7 @@ mod tests {
         // The multi-core engine with one core must reproduce System
         // counter-for-counter: same caches, same chain, same timing.
         // Cases: the L2 shape at HP, flat memory, and a ULE run over
-        // hard faults in a SECDED ULE way (the EDC slow path). SEU
+        // hard faults in a SECDED ULE way (the gated EDC path). SEU
         // stays off: the engines integrate exposure differently by
         // design (see `faults::maybe_inject_seu`).
         use crate::config::WaySpec;

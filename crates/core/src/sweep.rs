@@ -354,12 +354,13 @@ impl SweepBuilder {
         self
     }
 
-    /// Routes every cache the sweep's experiments construct through
-    /// the full EDC slow path, even while fault-free (the
-    /// `--force-slow-path` diagnostic knob). The report is
-    /// byte-identical either way — the fast path is a pure
-    /// optimization — so this exists to exercise and time the decode
-    /// path on the standard matrix.
+    /// Pins every cache the sweep's experiments construct to the
+    /// reference path, which decodes every word every access touches,
+    /// pristine ones included, even while fault-free (the
+    /// `--force-slow-path` knob). The report is byte-identical either
+    /// way — the fast path and the per-word decode gate are pure
+    /// optimizations — so this exists to check and time them against
+    /// full decoding on the standard matrix.
     pub fn force_slow_path(mut self, force: bool) -> SweepBuilder {
         self.force_slow = force;
         self
