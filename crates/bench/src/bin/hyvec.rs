@@ -3,13 +3,12 @@
 //! ```text
 //! hyvec <command> [--instructions N] [--seed S] [--jobs J]
 //!                 [--sim-threads T] [--format text|json|csv]
-//!                 [--filter GLOB] [--bench-out PATH] [--force-slow-path]
+//!                 [--filter GLOB] [--force-slow-path]
 //!
 //! commands:
 //!   run-all       the full evaluation matrix, fanned across cores
 //!                 with deterministic per-job seeds (the one entry
-//!                 point that regenerates every table and figure);
-//!                 also writes the BENCH_sweep.json perf artifact
+//!                 point that regenerates every table and figure)
 //!   list          print the experiment ids the registry knows
 //!   fig3          Figure 3: HP-mode EPI (scenarios A and B)
 //!   fig4          Figure 4: ULE-mode EPI breakdowns
@@ -34,7 +33,10 @@
 //! so a job's output is byte-identical whether it is produced by its
 //! single-artifact command, by `run-all`, serially or in parallel.
 //! `--filter` narrows any command by glob over experiment ids
-//! (e.g. `--filter 'fig*/A'`); `--format` selects the render backend.
+//! (e.g. `--filter 'fig*/A'`); a report command whose selection comes
+//! out empty exits 1 instead of printing an empty report. `--format`
+//! selects the render backend. Report commands write the report to
+//! stdout and nothing else.
 //! `--force-slow-path` decodes every word every simulated access
 //! touches, pristine ones included, even while fault-free — the
 //! reference path; the rendered report is byte-identical with or
@@ -46,7 +48,9 @@
 
 use std::process::ExitCode;
 
-use hyvec_bench::cli::{parse_flags, sweep_for, CliOptions, FLAGS_USAGE};
+use hyvec_bench::cli::{
+    parse_flags, report_sweep, sweep_for, write_output, CliOptions, FLAGS_USAGE,
+};
 use hyvec_core::registry::Registry;
 use hyvec_core::render::{csv_field as escape_csv, render, Format};
 
@@ -77,7 +81,7 @@ fn command_artifacts(command: &str) -> Option<&'static [&'static str]> {
 fn usage() -> String {
     format!(
         "usage: hyvec <run-all|list|serve|trace|fig3|fig4|methodology|performance|area\
-         |reliability|soft-errors|ablations|all> {FLAGS_USAGE} [--bench-out PATH]\n\
+         |reliability|soft-errors|ablations|all> {FLAGS_USAGE}\n\
          \x20      hyvec serve {}\n\
          \x20      hyvec {}",
         hyvec_serve::SERVE_USAGE,
@@ -85,39 +89,54 @@ fn usage() -> String {
     )
 }
 
+/// Prints a command's whole output through [`write_output`]: a closed
+/// pipe ends it quietly, any other write error exits 1.
+fn print_output(text: &str) -> ExitCode {
+    match write_output(&mut std::io::stdout().lock(), text) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 /// `hyvec list`: the registered experiment ids, optionally filtered.
 /// `--format json` emits the machine-readable registry index — the
 /// byte-identical document the serve daemon answers on
 /// `GET /experiments`; `--format csv` the same index as one row per
 /// experiment.
-fn list(options: &CliOptions) -> ExitCode {
+fn list(options: &CliOptions) -> String {
     let registry = Registry::standard();
     match options.format {
         Format::Text => {
             let builder = sweep_for(options, &[]);
+            let mut out = String::new();
             for id in registry.ids() {
                 if builder.selects(id) {
-                    println!("{id}");
+                    out.push_str(id);
+                    out.push('\n');
                 }
             }
+            out
         }
-        Format::Json => print!("{}", registry.index_json()),
+        Format::Json => registry.index_json(),
         Format::Csv => {
-            println!("id,artifact,scenario,description");
+            let mut out = String::from("id,artifact,scenario,description\n");
             for e in registry.iter() {
                 let id = e.id();
                 let (artifact, scenario) = id.split_once('/').unwrap_or((id, ""));
-                println!(
-                    "{},{},{},{}",
+                out.push_str(&format!(
+                    "{},{},{},{}\n",
                     escape_csv(id),
                     escape_csv(artifact),
                     escape_csv(scenario),
                     escape_csv(e.description())
-                );
+                ));
             }
+            out
         }
     }
-    ExitCode::SUCCESS
 }
 
 /// `hyvec serve`: bind, optionally warm, then serve until shutdown.
@@ -183,89 +202,17 @@ fn main() -> ExitCode {
         }
     };
     if command == "list" {
-        return list(&options);
+        return print_output(&list(&options));
     }
     let Some(artifacts) = command_artifacts(&command) else {
         eprintln!("unknown command {command}\n{}", usage());
         return ExitCode::FAILURE;
     };
-    let outcome = sweep_for(&options, artifacts).run();
-    print!("{}", render(&outcome.report, options.format));
-
-    // Per-job wall times feed the perf trajectory; they are kept out
-    // of the report so rendered output stays deterministic. run-all
-    // always writes them; other commands only on explicit --bench-out.
-    let run_all = command == "run-all" || command == "all";
-    let default_bench = run_all.then(|| "BENCH_sweep.json".to_string());
-    if let Some(path) = options.bench_out.clone().or(default_bench) {
-        match hyvec_bench::cli::write_bench(&outcome, &path) {
-            Ok(()) => eprintln!("wrote per-job wall times to {path}"),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
+    match report_sweep(&options, artifacts) {
+        Ok(sweep) => print_output(&render(&sweep.run().report, options.format)),
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
         }
     }
-
-    // An unfiltered run-all also refreshes the hot-path throughput
-    // artifact (fast vs forced-slow accesses/sec; see
-    // hyvec_bench::hotpath). Like the wall times it goes to a file +
-    // stderr, never the report; filtered runs skip the measurement so
-    // quick single-experiment checks stay quick.
-    if run_all && options.globs.is_empty() {
-        let hot = hyvec_bench::hotpath::measure(hyvec_bench::hotpath::RUN_ALL_INSTRUCTIONS);
-        let path = "BENCH_hotpath.json";
-        match std::fs::write(path, hot.json()) {
-            Ok(()) => eprintln!(
-                "wrote hot-path throughput to {path} (L1-hit fast path {:.2}x)",
-                hot.l1_hit_speedup().unwrap_or(0.0)
-            ),
-            Err(e) => {
-                eprintln!("could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        // And the epoch-parallel scaling artifact: serial vs threaded
-        // wall time per core count (the measurement asserts the two
-        // paths' reports are identical before trusting any timing).
-        let scaling = hyvec_bench::multicore::measure(
-            hyvec_bench::multicore::RUN_ALL_INSTRUCTIONS,
-            hyvec_bench::multicore::default_threads(),
-        );
-        let path = "BENCH_multicore.json";
-        match std::fs::write(path, scaling.json()) {
-            Ok(()) => {
-                let best = scaling
-                    .rows
-                    .iter()
-                    .map(|r| r.speedup())
-                    .fold(0.0f64, f64::max);
-                eprintln!(
-                    "wrote epoch-parallel scaling to {path} (best speedup {best:.2}x at {} sim threads)",
-                    scaling.sim_threads
-                );
-            }
-            Err(e) => {
-                eprintln!("could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        // And the trace-format throughput artifact: binary vs text
-        // encode/decode/replay rates and the size ratio (the
-        // measurement asserts the two replay paths' reports are
-        // identical before trusting any timing).
-        let trace = hyvec_bench::tracebench::measure(hyvec_bench::tracebench::RUN_ALL_INSTRUCTIONS);
-        let path = "BENCH_trace.json";
-        match std::fs::write(path, trace.json()) {
-            Ok(()) => eprintln!(
-                "wrote trace-format throughput to {path} (binary/text size ratio {:.3})",
-                trace.size_ratio()
-            ),
-            Err(e) => {
-                eprintln!("could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
 }

@@ -1,21 +1,20 @@
-//! Shared command-line plumbing for the `hyvec` front-end and the
-//! per-artifact binaries.
+//! Shared command-line plumbing for the `hyvec` front end.
 //!
-//! Every binary in `src/bin/` is a thin shell over the same pipeline:
-//! parse the common flags, select experiments from the standard
-//! [`Registry`](hyvec_core::registry::Registry) with a
-//! [`SweepBuilder`], run, and hand the typed report to the requested
-//! [`Format`] backend. A job's output is therefore byte-identical
-//! whether it is produced by its standalone binary, by a `hyvec`
-//! subcommand, or by `hyvec run-all`, serially or in parallel.
+//! Every report command is the same pipeline: parse the common
+//! flags, select experiments from the standard
+//! [`Registry`] with a [`SweepBuilder`], run, and hand the typed
+//! report to the requested [`Format`] backend. A job's output is
+//! therefore byte-identical whether it is produced by a single
+//! `hyvec` subcommand or by `hyvec run-all`, serially or in parallel.
 
-use std::process::ExitCode;
+use std::io::{ErrorKind, Write};
 
 use hyvec_core::experiments::ExperimentParams;
-use hyvec_core::render::{render, Format};
+use hyvec_core::registry::Registry;
+use hyvec_core::render::Format;
 use hyvec_core::sweep::{default_jobs, SweepBuilder};
 
-/// Options shared by every front-end binary.
+/// Options shared by every report command and `hyvec list`.
 #[derive(Debug, Clone)]
 pub struct CliOptions {
     /// Run parameters (instruction budget + base seed).
@@ -26,10 +25,6 @@ pub struct CliOptions {
     pub format: Format,
     /// Glob filters over experiment ids (`--filter`, repeatable).
     pub globs: Vec<String>,
-    /// Where to write the per-job wall-time artifact (`--bench-out`).
-    /// Honored by every entry point; `hyvec run-all` additionally
-    /// defaults it to `BENCH_sweep.json`.
-    pub bench_out: Option<String>,
     /// Decode every word every access touches, pristine ones
     /// included (`--force-slow-path`): the reference path. The report
     /// is byte-identical with or without it.
@@ -48,7 +43,6 @@ impl Default for CliOptions {
             jobs: default_jobs(),
             format: Format::Text,
             globs: Vec::new(),
-            bench_out: None,
             force_slow_path: false,
             sim_threads: 1,
         }
@@ -101,9 +95,6 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> Result<CliOptions, Str
             "--filter" => {
                 options.globs.push(value);
             }
-            "--bench-out" => {
-                options.bench_out = Some(value);
-            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -131,32 +122,42 @@ pub fn sweep_for(options: &CliOptions, artifacts: &[&str]) -> SweepBuilder {
     builder
 }
 
-/// Writes the per-job wall-time artifact of `outcome` to `path`.
-pub fn write_bench(outcome: &hyvec_core::sweep::SweepOutcome, path: &str) -> Result<(), String> {
-    std::fs::write(path, outcome.bench_json()).map_err(|e| format!("could not write {path}: {e}"))
+/// [`sweep_for`] for a report command, refused when it selects no
+/// registered experiment: a mistyped `--filter` glob fails instead of
+/// printing an empty report.
+pub fn report_sweep(options: &CliOptions, artifacts: &[&str]) -> Result<SweepBuilder, String> {
+    let builder = sweep_for(options, artifacts);
+    if Registry::standard()
+        .ids()
+        .iter()
+        .any(|id| builder.selects(id))
+    {
+        return Ok(builder);
+    }
+    let scope = if artifacts.is_empty() {
+        "the registry".to_string()
+    } else {
+        artifacts.join(", ")
+    };
+    let globs: Vec<String> = options
+        .globs
+        .iter()
+        .map(|g| format!("--filter {g:?}"))
+        .collect();
+    Err(format!(
+        "no experiment in {scope} matches {} (`hyvec list` shows the ids)",
+        globs.join(" ")
+    ))
 }
 
-/// The whole body of a per-artifact binary: parse flags from the
-/// process arguments, run the sweep restricted to `artifacts`, print
-/// the rendered report (and honor `--bench-out`).
-pub fn artifact_main(name: &str, artifacts: &[&str]) -> ExitCode {
-    // hyvec-lint: allow(determinism, "CLI argument intake for artifact binaries; parsed flags are the only ambient input")
-    let options = match parse_flags(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("{e}\nusage: {name} {FLAGS_USAGE} [--bench-out PATH]");
-            return ExitCode::FAILURE;
-        }
-    };
-    let outcome = sweep_for(&options, artifacts).run();
-    print!("{}", render(&outcome.report, options.format));
-    if let Some(path) = &options.bench_out {
-        if let Err(e) = write_bench(&outcome, path) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+/// Writes a command's whole output to `out`. A reader that has gone
+/// away (`hyvec list | head`) ends the output quietly; any other
+/// write error is returned.
+pub fn write_output(out: &mut impl Write, text: &str) -> Result<(), String> {
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("could not write output: {e}")),
+        _ => Ok(()),
     }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -228,6 +229,8 @@ mod tests {
         assert!(parse(&["--format", "yaml"]).is_err());
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--wat", "1"]).is_err());
+        // Report commands write only to stdout: no side-file option.
+        assert!(parse(&["--bench-out", "x.json"]).is_err());
     }
 
     #[test]
@@ -240,5 +243,48 @@ mod tests {
         assert!(!builder.selects("area/A"));
         let unrestricted = sweep_for(&CliOptions::default(), &[]);
         assert!(unrestricted.selects("soft-errors/B"));
+    }
+
+    #[test]
+    fn report_sweep_refuses_an_empty_selection() {
+        let with_globs = |globs: &[&str]| CliOptions {
+            globs: globs.iter().map(|g| g.to_string()).collect(),
+            ..CliOptions::default()
+        };
+        let err = report_sweep(&with_globs(&["nonesuch/*"]), &[]).unwrap_err();
+        assert!(err.contains("the registry"), "{err}");
+        assert!(err.contains("--filter \"nonesuch/*\""), "{err}");
+        // A glob that names an artifact outside the command's own.
+        let err = report_sweep(&with_globs(&["fig4/*"]), &["fig3"]).unwrap_err();
+        assert!(err.contains("fig3"), "{err}");
+        assert!(err.contains("--filter \"fig4/*\""), "{err}");
+        // One matching glob among several is enough.
+        assert!(report_sweep(&with_globs(&["nonesuch/*", "fig3/A"]), &[]).is_ok());
+        assert!(report_sweep(&CliOptions::default(), &["area"]).is_ok());
+    }
+
+    /// A writer whose every write fails with one error kind.
+    struct Failing(ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_output_ends_quietly_on_a_closed_pipe() {
+        let mut out = Vec::new();
+        assert_eq!(write_output(&mut out, "fig3/A\n"), Ok(()));
+        assert_eq!(out, b"fig3/A\n");
+        assert_eq!(
+            write_output(&mut Failing(ErrorKind::BrokenPipe), "fig3/A\n"),
+            Ok(())
+        );
+        let err = write_output(&mut Failing(ErrorKind::PermissionDenied), "x").unwrap_err();
+        assert!(err.contains("could not write output"), "{err}");
     }
 }

@@ -1,67 +1,23 @@
-//! # hyvec-bench — figure/table regeneration and micro-benchmarks
+//! # hyvec-bench — the `hyvec` command-line front end
 //!
-//! Each binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation (see the experiment index in `DESIGN.md`):
+//! The one binary, `src/bin/hyvec.rs`, regenerates every figure and
+//! table of the paper's evaluation. Each report command (`fig3`,
+//! `area`, `ablations`, `run-all`, ...) is a filtered view of the
+//! standard [`Registry`](hyvec_core::registry::Registry): the [`cli`]
+//! module parses the shared flags and builds the
+//! [`SweepBuilder`](hyvec_core::sweep::SweepBuilder), the core sweep
+//! engine runs it, and the shared text/JSON/CSV backends render it
+//! (`--format`). The [`tracecmd`] module implements the `hyvec trace`
+//! subcommand (generate/encode/decode/info/replay over trace files),
+//! and `hyvec serve` hands over to [`hyvec_serve`].
 //!
-//! | binary | artifact |
-//! |---|---|
-//! | `fig3_hp_epi` | Figure 3 — normalized average EPI at HP mode |
-//! | `fig4_ule_epi` | Figure 4 — normalized EPI breakdowns at ULE mode |
-//! | `table_methodology` | Sec. III-C sizing/yield table |
-//! | `table_performance` | Sec. IV-B.2 execution-time overhead |
-//! | `table_area` | area comparison |
-//! | `table_reliability` | reliability equivalence (yields + fault injection) |
-//! | `table_soft_errors` | hard faults + soft errors, DECTED vs SECDED |
-//! | `ablation_ways` | 7+1 vs 6+2 way split |
-//! | `ablation_memlat` | memory-latency sweep |
-//! | `ablation_voltage` | ULE-voltage sweep |
-//! | `ablation_granularity` | protection-granularity analysis |
-//!
-//! Every binary — including the unified `hyvec` front-end — is a thin
-//! shell over the [`cli`] module: experiments are selected from the
-//! standard registry, run by the core sweep engine, and rendered by
-//! the shared text/JSON/CSV backends (`--format`). The `benches/`
-//! directory holds Criterion micro-benchmarks of the substrates (EDC
-//! throughput, simulator speed, yield math, trace generation).
-//!
-//! The [`hotpath`], [`multicore`], and [`tracebench`] modules are
-//! in-process bench harnesses with JSON artifacts of their own
-//! (`BENCH_hotpath.json`, `BENCH_multicore.json`, `BENCH_trace.json`),
-//! all written by `hyvec run-all`. The [`tracecmd`] module implements
-//! the `hyvec trace` subcommand (generate/encode/decode/info/replay
-//! over trace files).
+//! Performance is measured by the separate `benchmark/` package, not
+//! by this crate: a report run writes its report to stdout and
+//! nothing else.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod hotpath;
-pub mod multicore;
-pub mod tracebench;
 pub mod tracecmd;
-
-// The render helpers live next to the sweep engine; re-exported here
-// to keep the seed's public API.
-pub use hyvec_core::sweep::{breakdown_header, breakdown_row, pct};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hyvec_cachesim::EnergyBreakdown;
-
-    #[test]
-    fn rows_render() {
-        let b = EnergyBreakdown {
-            l1_dynamic_pj: 0.5,
-            l1_leakage_pj: 0.3,
-            edc_pj: 0.01,
-            other_pj: 0.19,
-        };
-        let row = breakdown_row("baseline", &b);
-        assert!(row.contains("baseline"));
-        assert!(row.contains("1.000"));
-        assert!(breakdown_header().contains("L1 dyn"));
-        assert_eq!(pct(0.423), "42.3%");
-    }
-}

@@ -72,7 +72,7 @@ proptest! {
     /// topology, fault-free and with accelerated soft errors active.
     #[test]
     fn threaded_merge_matches_serial_shared_l2(
-        cores_sel in prop::sample::select(vec![1usize, 2, 4, 8]),
+        cores_sel in prop::sample::select(vec![1usize, 2, 4, 8, 16]),
         threads in prop::sample::select(vec![1usize, 2, 8]),
         base_len in 300usize..900,
         seed in 0u64..500,

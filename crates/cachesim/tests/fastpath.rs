@@ -14,7 +14,7 @@
 //! `hyvec run-all` output stays byte-identical with and without
 //! `--force-slow-path`.
 
-use hyvec_cachesim::cache::{AccessOutcome, HybridCache, WordSlot};
+use hyvec_cachesim::cache::{AccessOutcome, HybridCache, StuckBits, WordSlot};
 use hyvec_cachesim::config::{CacheConfig, L2Config, MemoryConfig, Mode, SystemConfig, WaySpec};
 use hyvec_cachesim::engine::System;
 use hyvec_cachesim::faults::sample_faults;
@@ -135,6 +135,22 @@ fn build(with_l2: bool, seu: bool) -> System {
     builder.build().expect("valid configuration")
 }
 
+/// Stuck bits in word 0 of every line of the DL1's first two ways.
+/// On the unprotected 6T baseline the armed fault map moves every DL1
+/// access onto the gated path, which delivers the faults silently.
+fn arm_stuck_bits(sys: &mut System) {
+    let dl1 = sys.dl1_mut();
+    for set in 0..dl1.config().sets() {
+        for way in 0..2 {
+            let faults = StuckBits {
+                mask: 1 << (set % 32),
+                value: 0,
+            };
+            dl1.set_stuck_bits(WordSlot { way, set, slot: 0 }, faults);
+        }
+    }
+}
+
 fn force_slow(sys: &mut System) {
     sys.il1_mut().set_force_slow_path(true);
     sys.dl1_mut().set_force_slow_path(true);
@@ -190,7 +206,8 @@ proptest! {
 
     /// Arbitrary synthetic traces — including line-crossing and
     /// sub-word accesses — replay identically on both tiers, with and
-    /// without an L2 in the chain.
+    /// without an L2 in the chain, and with stuck bits armed on the
+    /// DL1 (the gated path against the decode-everything reference).
     #[test]
     fn forced_slow_replay_matches_fast_path(
         ops in prop::collection::vec(
@@ -199,6 +216,7 @@ proptest! {
         ),
         mode_sel: bool,
         with_l2: bool,
+        stuck: bool,
     ) {
         let mode = if mode_sel { Mode::Hp } else { Mode::Ule };
         let trace = || {
@@ -213,6 +231,10 @@ proptest! {
         };
         let mut fast = build(with_l2, false);
         let mut slow = build(with_l2, false);
+        if stuck {
+            arm_stuck_bits(&mut fast);
+            arm_stuck_bits(&mut slow);
+        }
         force_slow(&mut slow);
         let rf = fast.run(trace(), mode);
         let rs = slow.run(trace(), mode);

@@ -20,14 +20,11 @@
 //! parallel sweep matches a serial one exactly. This invariant is
 //! enforced by the workspace's `tests/determinism.rs`. Wall-clock
 //! timings are deliberately kept *outside* the report (in
-//! [`SweepOutcome::timings`]) so they can feed perf artifacts without
+//! [`SweepOutcome::timings`]) so a benchmark can read them without
 //! breaking that contract. The same contract is what lets the
 //! simulator's fault-free fast path (see
 //! `hyvec_cachesim::cache::HybridCache`) speed these jobs up without
-//! changing a byte of their sections: `BENCH_sweep.json` tracks the
-//! job wall times, and the companion `BENCH_hotpath.json` artifact
-//! (written by `hyvec run-all` from `hyvec_bench::hotpath`) tracks
-//! the fast-vs-slow dispatch-tier throughput directly.
+//! changing a byte of their sections.
 //!
 //! # Example
 //!
@@ -54,36 +51,6 @@ use crate::experiments::{Experiment, ExperimentParams};
 use crate::registry::Registry;
 use crate::report::{Report, Section, SWEEP_TITLE};
 use crate::seed::derive_seed;
-use hyvec_cachesim::power::EnergyBreakdown;
-
-// ---------------------------------------------------------------------
-// Formatting helpers (legacy; kept for the hyvec_bench public API)
-// ---------------------------------------------------------------------
-
-/// Renders one normalized EPI breakdown as a table row.
-pub fn breakdown_row(label: &str, b: &EnergyBreakdown) -> String {
-    format!(
-        "{label:<24} {:>8.3} {:>8.3} {:>8.4} {:>8.3} {:>8.3}",
-        b.l1_dynamic_pj,
-        b.l1_leakage_pj,
-        b.edc_pj,
-        b.other_pj,
-        b.total_pj()
-    )
-}
-
-/// The header matching [`breakdown_row`].
-pub fn breakdown_header() -> String {
-    format!(
-        "{:<24} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "", "L1 dyn", "L1 leak", "EDC", "other", "total"
-    )
-}
-
-/// Formats a fraction as a percentage with one decimal.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", 100.0 * x)
-}
 
 // ---------------------------------------------------------------------
 // Job matrix
@@ -215,9 +182,8 @@ pub struct SweepOutcome {
     /// which job).
     pub timings: Vec<JobTiming>,
     /// Elapsed wall time of the whole sweep, nanoseconds. Under
-    /// parallel execution this is *less* than the per-job sum; both
-    /// figures are recorded explicitly in
-    /// [`SweepOutcome::bench_json`].
+    /// parallel execution this is *less* than the per-job sum
+    /// ([`SweepOutcome::summed_job_wall_nanos`]).
     pub elapsed_wall_nanos: u128,
 }
 
@@ -226,53 +192,6 @@ impl SweepOutcome {
     /// spent, as opposed to the elapsed time the sweep occupied.
     pub fn summed_job_wall_nanos(&self) -> u128 {
         self.timings.iter().map(|t| t.wall_nanos).sum()
-    }
-
-    /// Serializes the timings as the `BENCH_sweep.json` perf-trajectory
-    /// artifact (hand-rolled JSON; see `crate::render` for escaping).
-    ///
-    /// Schema v2 records both time axes explicitly:
-    /// `elapsed_wall_ms` (start-to-finish, what a user waits for) and
-    /// `summed_job_wall_ms` (total compute across workers; under
-    /// `--jobs > 1` the two legitimately disagree — v1's single
-    /// `total_wall_ms` conflated them). The job array is always in
-    /// canonical registry order, regardless of worker interleaving.
-    pub fn bench_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"hyvec-bench-sweep/v2\",\n");
-        out.push_str(&format!(
-            "  \"instructions\": {},\n",
-            self.report.instructions
-        ));
-        out.push_str(&format!(
-            "  \"base_seed\": \"{}\",\n",
-            self.report.base_seed
-        ));
-        out.push_str(&format!(
-            "  \"elapsed_wall_ms\": {:.3},\n",
-            self.elapsed_wall_nanos as f64 / 1e6
-        ));
-        out.push_str(&format!(
-            "  \"summed_job_wall_ms\": {:.3},\n",
-            self.summed_job_wall_nanos() as f64 / 1e6
-        ));
-        out.push_str("  \"jobs\": [");
-        for (i, t) in self.timings.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"id\": \"{}\", \"wall_ms\": {:.3}}}",
-                crate::render::escape_json(&t.label),
-                t.wall_ms()
-            ));
-        }
-        if self.timings.is_empty() {
-            out.push_str("]\n");
-        } else {
-            out.push_str("\n  ]\n");
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -595,7 +514,7 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_lists_every_job() {
+    fn timings_list_every_job() {
         let outcome = SweepBuilder::new()
             .params(ExperimentParams {
                 instructions: 1_000,
@@ -604,15 +523,13 @@ mod tests {
             .artifacts(["area", "methodology"])
             .jobs(2)
             .run();
-        let json = outcome.bench_json();
-        assert!(json.contains("\"schema\": \"hyvec-bench-sweep/v2\""));
-        assert!(json.contains("\"id\": \"area/A\""));
-        assert!(json.contains("\"id\": \"methodology/B\""));
-        // Both time axes are explicit: elapsed (what the caller
-        // waited) and the per-job sum (total compute).
-        assert!(json.contains("\"elapsed_wall_ms\""));
-        assert!(json.contains("\"summed_job_wall_ms\""));
-        assert!(!json.contains("total_wall_ms"), "v1 field must be gone");
+        let labels: Vec<_> = outcome.timings.iter().map(|t| t.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["methodology/A", "methodology/B", "area/A", "area/B"]
+        );
+        // Both time axes are kept: elapsed (what the caller waited)
+        // and the per-job sum (total compute).
         assert!(outcome.elapsed_wall_nanos > 0);
         assert_eq!(
             outcome.summed_job_wall_nanos(),
@@ -621,7 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_job_order_is_canonical_under_any_worker_count() {
+    fn job_timing_order_is_canonical_under_any_worker_count() {
         let params = ExperimentParams {
             instructions: 1_000,
             seed: 5,

@@ -11,9 +11,10 @@
 //! * runtime environment reads (`env::var`, `env::args`, ...) —
 //!   ambient inputs that bypass the config hash.
 //!
-//! Legitimate wall-time capture (the sweep/hotpath bench artifacts)
-//! and CLI argv intake live behind `lint.toml` allowlists or per-line
-//! annotations, each with a recorded reason.
+//! Legitimate wall-time capture (the sweep's per-job timings, the
+//! serve daemon's socket timeouts) and CLI argv intake live behind
+//! `lint.toml` allowlists or per-line annotations, each with a
+//! recorded reason.
 
 use super::{ident_in, punct_is, FileCtx};
 use crate::context::FileKind;
