@@ -27,6 +27,7 @@
 //!   trace         generate, transcode, inspect, and replay trace
 //!                 files (gen|encode|decode|info|replay; see the
 //!                 README "Traces & workloads" section)
+//!   help          print this usage to stdout (also --help, -h)
 //! ```
 //!
 //! Every command is a filtered view of the same registry-driven sweep,
@@ -182,6 +183,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if matches!(command.as_str(), "--help" | "-h" | "help") {
+        return print_output(&format!("{}\n", usage()));
+    }
     if command == "serve" {
         return serve(args);
     }

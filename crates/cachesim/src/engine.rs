@@ -30,9 +30,9 @@ use hyvec_mediabench::{TraceEntry, TraceSource};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Default seed of the soft-error RNG (historical constant of
-/// `System::new`; [`SystemBuilder::seu`] overrides it). The
-/// multi-core engine derives per-core streams from the same seed.
+/// Default seed of the soft-error RNG, used when
+/// [`SystemBuilder::seu`] is not called. The multi-core engine derives
+/// per-core streams from the same seed.
 pub(crate) const DEFAULT_SEU_SEED: u64 = 0x5E0_E44;
 
 /// Per-core timing constants hoisted out of the instruction loop
@@ -311,9 +311,10 @@ pub struct System {
 /// # let _ = system;
 /// ```
 ///
-/// A builder seeded from a legacy [`SystemConfig`]
-/// ([`SystemBuilder::config`]) with no further calls builds a system
-/// byte-identical to `System::new(config)`.
+/// A [`SystemConfig`] seeds the L1s, memory latency, technology and
+/// uncore sizing in one call ([`SystemBuilder::config`]); with no
+/// further calls it builds the flat-memory, soft-error-free system of
+/// that configuration.
 #[derive(Debug, Clone)]
 pub struct SystemBuilder {
     il1: Option<CacheConfig>,
@@ -589,23 +590,6 @@ impl System {
         SystemBuilder::default()
     }
 
-    /// Builds a system in HP mode from a legacy [`SystemConfig`]
-    /// (flat memory, no L2) — the historical constructor, now a shim
-    /// over [`System::builder`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a cache configuration is invalid; use
-    /// `System::builder().config(config).build()` to handle the
-    /// [`ConfigError`] instead.
-    pub fn new(config: SystemConfig) -> Self {
-        match System::builder().config(config).build() {
-            Ok(system) => system,
-            // hyvec-lint: allow(no-panic, "documented panicking shim; System::builder().build() is the fallible path")
-            Err(e) => panic!("invalid cache config: {e}"),
-        }
-    }
-
     /// The instruction cache (e.g. for fault injection).
     pub fn il1_mut(&mut self) -> &mut HybridCache {
         &mut self.il1
@@ -650,70 +634,141 @@ impl System {
 
     /// Like [`run`](System::run) but at an explicit operating point —
     /// the DVS-sweep entry point (`mode` still decides which ways and
-    /// codes are active).
-    pub fn run_at<T>(&mut self, mut trace: T, mode: Mode, op: OperatingPoint) -> RunReport
+    /// codes are active). The one-system case of
+    /// [`run_many`](System::run_many).
+    pub fn run_at<T>(&mut self, trace: T, mode: Mode, op: OperatingPoint) -> RunReport
     where
         T: TraceSource,
     {
+        System::run_many(std::slice::from_mut(self), trace, mode, &[op])[0]
+    }
+
+    /// Runs one trace through every system of `systems` in lockstep at
+    /// `mode`, system `i` at operating point `ops[i]`: each entry is
+    /// drawn from `trace` once and executed on every system, a block
+    /// of entries per system at a time. Systems share nothing — each
+    /// keeps its own L1s, chain, fault maps and soft-error RNG — so
+    /// report `i` equals `systems[i].run_at(trace, mode, ops[i])` on
+    /// its own, soft errors included. This is how design points
+    /// compared on one input pay for generating it once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` and `systems` differ in length.
+    pub fn run_many<T>(
+        systems: &mut [System],
+        mut trace: T,
+        mode: Mode,
+        ops: &[OperatingPoint],
+    ) -> Vec<RunReport>
+    where
+        T: TraceSource,
+    {
+        // hyvec-lint: allow(no-panic, "documented precondition (# Panics): one operating point per system")
+        assert_eq!(systems.len(), ops.len(), "one operating point per system");
+        let mut lanes: Vec<Lane> = systems
+            .iter_mut()
+            .zip(ops)
+            .map(|(system, &op)| system.begin(mode, op))
+            .collect();
+        let mut requests = Vec::new();
+        let mut block = [TraceEntry {
+            pc: 0,
+            access: None,
+        }; LOCKSTEP_BLOCK];
+        loop {
+            let len = block
+                .iter_mut()
+                .map_while(|slot| trace.next_entry().map(|entry| *slot = entry))
+                .count();
+            for (system, lane) in systems.iter_mut().zip(&mut lanes) {
+                let mut state = *lane;
+                for &entry in &block[..len] {
+                    system.step(&mut state, entry, &mut requests);
+                }
+                *lane = state;
+            }
+            if len < LOCKSTEP_BLOCK {
+                break;
+            }
+        }
+        systems
+            .iter_mut()
+            .zip(lanes)
+            .map(|(system, lane)| system.finish(lane))
+            .collect()
+    }
+
+    /// Starts a run: the mode transition flushes both L1s and the
+    /// chain, and every statistic is reset.
+    fn begin(&mut self, mode: Mode, op: OperatingPoint) -> Lane {
         self.il1.set_mode(mode);
         self.dl1.set_mode(mode);
         self.il1.reset_stats();
         self.dl1.reset_stats();
         self.below.flush();
         self.below.reset_stats();
+        Lane {
+            mode,
+            op,
+            timing: CoreTiming {
+                il1_edc_latency: self.power.il1.edc_latency_cycles(mode),
+                dl1_edc_latency: self.power.dl1.edc_latency_cycles(mode),
+                dl1_line_bytes: self.dl1.config().line_bytes,
+            },
+            ule_bits: ule_exposure_bits(self.il1.config(), self.dl1.config()),
+            below_pj: 0.0,
+            stats: RunStats::default(),
+        }
+    }
 
-        let timing = CoreTiming {
-            il1_edc_latency: self.power.il1.edc_latency_cycles(mode),
-            dl1_edc_latency: self.power.dl1.edc_latency_cycles(mode),
-            dl1_line_bytes: self.dl1.config().line_bytes,
-        };
-
-        // Soft-error bookkeeping: bits exposed in the powered ULE ways
-        // of both caches. The SEU draw is skipped entirely for the
+    /// Executes one entry: the L1 front phase, its fills through the
+    /// chain, then the entry's soft-error draw. `requests` is scratch
+    /// space, cleared here, so one buffer serves every lane.
+    #[inline]
+    fn step(&mut self, lane: &mut Lane, entry: TraceEntry, requests: &mut Vec<ChainRequest>) {
+        lane.stats.instructions += 1;
+        requests.clear();
+        let mut cycles = front_entry(
+            &mut self.il1,
+            &mut self.dl1,
+            lane.timing,
+            &mut lane.stats,
+            entry,
+            0,
+            requests,
+        );
+        for &req in requests.iter() {
+            let fill = self.below.access(req.access());
+            cycles += apply_fill(
+                lane.timing,
+                req.kind,
+                fill,
+                &mut lane.stats,
+                &mut lane.below_pj,
+            );
+        }
+        lane.stats.cycles += cycles;
+        // Exposure integrates full cycles, fill stalls included (see
+        // `maybe_inject_seu`). The draw is skipped entirely for the
         // default fault-free runs, keeping the hot path free of RNG
         // work.
-        let seu_rate = self.seu_rate_per_bit_cycle;
-        let seu_active = seu_rate > 0.0;
-        let ule_bits = ule_exposure_bits(self.il1.config(), self.dl1.config());
-
-        // Dynamic energy spent below the L1s (zero for the default
-        // energy-free flat memory; folded into the `other` component
-        // so the paper's breakdown categories stay stable).
-        let mut below_pj = 0.0f64;
-
-        let mut stats = RunStats::default();
-        let mut requests = Vec::new();
-        while let Some(entry) = trace.next_entry() {
-            stats.instructions += 1;
-            requests.clear();
-            let mut cycles = front_entry(
+        if self.seu_rate_per_bit_cycle > 0.0 {
+            maybe_inject_seu(
                 &mut self.il1,
                 &mut self.dl1,
-                timing,
-                &mut stats,
-                entry,
-                0,
-                &mut requests,
+                &mut self.seu_rng,
+                self.seu_rate_per_bit_cycle,
+                lane.ule_bits,
+                cycles,
             );
-            for &req in &requests {
-                let fill = self.below.access(req.access());
-                cycles += apply_fill(timing, req.kind, fill, &mut stats, &mut below_pj);
-            }
-            stats.cycles += cycles;
-            // Exposure integrates full cycles, fill stalls included
-            // (see `maybe_inject_seu`).
-            if seu_active {
-                maybe_inject_seu(
-                    &mut self.il1,
-                    &mut self.dl1,
-                    &mut self.seu_rng,
-                    seu_rate,
-                    ule_bits,
-                    cycles,
-                );
-            }
         }
+    }
 
+    /// Ends a run: collects the cache and chain counters and prices the
+    /// run at the lane's operating point.
+    fn finish(&mut self, lane: Lane) -> RunReport {
+        let (mode, op, mut stats) = (lane.mode, lane.op, lane.stats);
         stats.il1 = *self.il1.stats();
         stats.dl1 = *self.dl1.stats();
         // The single-core report keeps the historical chain-reported
@@ -730,8 +785,8 @@ impl System {
         }
 
         let mut energy = self.power.breakdown_at(&stats, mode, op);
-        if below_pj > 0.0 {
-            energy.other_pj += below_pj;
+        if lane.below_pj > 0.0 {
+            energy.other_pj += lane.below_pj;
         }
         RunReport {
             stats,
@@ -740,6 +795,28 @@ impl System {
             seconds: stats.cycles as f64 * op.cycle_s(),
         }
     }
+}
+
+/// Entries [`System::run_many`] draws from its trace at a time. Each
+/// system runs the whole block before the next one starts it, so a
+/// system's caches stay warm and its [`Lane`] stays in registers.
+const LOCKSTEP_BLOCK: usize = 64;
+
+/// One system's state over a run, between [`System::begin`] and
+/// [`System::finish`].
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    mode: Mode,
+    op: OperatingPoint,
+    timing: CoreTiming,
+    /// Bits exposed to soft errors in the powered ULE ways of both
+    /// caches.
+    ule_bits: u64,
+    /// Dynamic energy spent below the L1s (zero for the default
+    /// energy-free flat memory; folded into the `other` component so
+    /// the paper's breakdown categories stay stable).
+    below_pj: f64,
+    stats: RunStats,
 }
 
 #[cfg(test)]
@@ -761,6 +838,10 @@ mod tests {
         SystemConfig::with_ways(ways, 20)
     }
 
+    fn built(config: SystemConfig) -> System {
+        System::builder().config(config).build().unwrap()
+    }
+
     fn proposal_a() -> SystemConfig {
         let mut ways = vec![WaySpec::hp_way(1.0, Protection::None); 7];
         ways.push(WaySpec::ule_way(
@@ -774,7 +855,7 @@ mod tests {
 
     #[test]
     fn trace_runs_to_completion() {
-        let mut sys = System::new(baseline_a());
+        let mut sys = built(baseline_a());
         let report = sys.run(Benchmark::G721C.trace(30_000, 1), Mode::Hp);
         assert_eq!(report.stats.instructions, 30_000);
         assert!(report.stats.cycles >= 30_000);
@@ -786,7 +867,7 @@ mod tests {
     #[test]
     fn bigbench_hits_well_at_hp() {
         // "their workloads fit pretty well in cache" — Sec. IV-B.1.
-        let mut sys = System::new(baseline_a());
+        let mut sys = built(baseline_a());
         for b in Benchmark::BIG {
             let report = sys.run(b.trace(60_000, 2), Mode::Hp);
             assert!(
@@ -805,7 +886,7 @@ mod tests {
     #[test]
     fn smallbench_hits_well_at_ule() {
         // SmallBench fits the single 1KB ULE way — Sec. IV-A.1.
-        let mut sys = System::new(proposal_a());
+        let mut sys = built(proposal_a());
         for b in Benchmark::SMALL {
             let report = sys.run(b.trace(60_000, 3), Mode::Ule);
             assert!(
@@ -823,7 +904,7 @@ mod tests {
 
     #[test]
     fn ule_mode_runs_slower_in_wall_clock() {
-        let mut sys = System::new(proposal_a());
+        let mut sys = built(proposal_a());
         let hp = sys.run(Benchmark::AdpcmC.trace(20_000, 1), Mode::Hp);
         let ule = sys.run(Benchmark::AdpcmC.trace(20_000, 1), Mode::Ule);
         // 1GHz vs 5MHz: wall clock ~200x slower even with similar CPI.
@@ -832,8 +913,8 @@ mod tests {
 
     #[test]
     fn edc_latency_shows_up_in_proposal_at_ule() {
-        let mut base = System::new(baseline_a());
-        let mut prop = System::new(proposal_a());
+        let mut base = built(baseline_a());
+        let mut prop = built(proposal_a());
         let b = base.run(Benchmark::EpicC.trace(50_000, 4), Mode::Ule);
         let p = prop.run(Benchmark::EpicC.trace(50_000, 4), Mode::Ule);
         assert_eq!(b.stats.edc_stall_cycles, 0, "baseline A has no EDC");
@@ -846,8 +927,8 @@ mod tests {
 
     #[test]
     fn proposal_epi_lower_at_hp() {
-        let mut base = System::new(baseline_a());
-        let mut prop = System::new(proposal_a());
+        let mut base = built(baseline_a());
+        let mut prop = built(proposal_a());
         let b = base.run(Benchmark::GsmC.trace(50_000, 5), Mode::Hp);
         let p = prop.run(Benchmark::GsmC.trace(50_000, 5), Mode::Hp);
         assert!(
@@ -933,7 +1014,7 @@ mod tests {
         use hyvec_mediabench::{DataAccess, TraceEntry};
         let cfg = SystemConfig::uniform_6t();
         let line = cfg.dl1.line_bytes;
-        let mut sys = System::new(cfg);
+        let mut sys = built(cfg);
         let entry = |addr, size| TraceEntry {
             pc: 0x1000_0000,
             access: Some(DataAccess {
@@ -1017,8 +1098,8 @@ mod tests {
 
     #[test]
     fn proposal_epi_much_lower_at_ule() {
-        let mut base = System::new(baseline_a());
-        let mut prop = System::new(proposal_a());
+        let mut base = built(baseline_a());
+        let mut prop = built(proposal_a());
         let b = base.run(Benchmark::AdpcmD.trace(50_000, 6), Mode::Ule);
         let p = prop.run(Benchmark::AdpcmD.trace(50_000, 6), Mode::Ule);
         let saving = 1.0 - p.epi_pj() / b.epi_pj();

@@ -45,10 +45,11 @@
 //!
 //! // An all-6T baseline-style cache running a small workload at HP.
 //! let config = SystemConfig::uniform_6t();
-//! let mut system = System::new(config);
+//! let mut system = System::builder().config(config).build()?;
 //! let report = system.run(Benchmark::AdpcmC.trace(20_000, 1), Mode::Hp);
 //! assert_eq!(report.stats.instructions, 20_000);
 //! assert!(report.energy.total_pj() > 0.0);
+//! # Ok::<(), hyvec_cachesim::ConfigError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -108,7 +108,7 @@ fn full_system_runs_on_a_16kb_geometry() {
     };
     let pm = PowerModel::new(&sys_cfg);
     assert!(pm.il1.area_um2() > 0.0);
-    let mut sys = System::new(sys_cfg);
+    let mut sys = System::builder().config(sys_cfg).build().unwrap();
     let r = sys.run(Benchmark::Mpeg2C.trace(20_000, 1), Mode::Hp);
     assert_eq!(r.stats.instructions, 20_000);
     // Twice the capacity can only help mpeg2's larger working set.

@@ -74,13 +74,20 @@ fn engine_charges_the_composed_miss_latency() {
 
 #[test]
 fn no_l2_builder_reproduces_the_legacy_system_exactly() {
-    // The SystemBuilder compatibility contract: with the same L1s and
-    // a flat memory, the builder-made system and the historical
-    // System::new(SystemConfig) produce the same RunReport bit for
-    // bit on identical traces and seeds.
+    // The SystemBuilder compatibility contract: seeding the builder
+    // from a legacy SystemConfig and setting the same pieces one by
+    // one build the same flat-memory system, which produces the same
+    // RunReport bit for bit on identical traces and seeds.
     let config = proposal_a();
-    let mut legacy = System::new(config.clone());
-    let mut built = System::builder().config(config).build().expect("builder");
+    let mut built = System::builder()
+        .il1(config.il1.clone())
+        .dl1(config.dl1.clone())
+        .memory_latency(config.memory_latency)
+        .tech(config.tech)
+        .uncore_sizing(config.uncore_ten_t_sizing)
+        .build()
+        .expect("builder");
+    let mut legacy = System::builder().config(config).build().expect("builder");
     for (b, mode, seed) in [
         (Benchmark::AdpcmC, Mode::Ule, 7),
         (Benchmark::GsmC, Mode::Hp, 11),
@@ -88,7 +95,7 @@ fn no_l2_builder_reproduces_the_legacy_system_exactly() {
     ] {
         let l = legacy.run(b.trace(30_000, seed), mode);
         let r = built.run(b.trace(30_000, seed), mode);
-        assert_eq!(l, r, "{b}: builder diverged from System::new");
+        assert_eq!(l, r, "{b}: piecewise builder diverged from the config seed");
     }
 }
 
@@ -202,7 +209,7 @@ fn custom_level_edc_events_surface_in_the_report() {
     assert_eq!(out.corrected, 1, "L2 must propagate below-level events");
 
     // Installed under the engine, the events land in RunStats.
-    let mut system = System::new(proposal_a());
+    let mut system = System::builder().config(proposal_a()).build().unwrap();
     system.set_hierarchy(Box::new(EccMemory(MainMemory::new(
         MemoryConfig::with_latency(20),
     ))));

@@ -1,5 +1,5 @@
 //! Regeneration of every figure and table in the paper's evaluation
-//! (Sec. IV), plus the ablations called out in `DESIGN.md`.
+//! (Sec. IV), plus ablations of the design choices it fixes.
 //!
 //! | Function | Paper artifact |
 //! |---|---|
@@ -15,13 +15,19 @@
 //! | [`ablation_l2`] | unified-L2 sweep over the open memory hierarchy |
 //! | [`ablation_cores`] | multi-core scaling behind a fixed shared L2 |
 //! | [`ablation_cores_mesi`] | private MESI-coherent L2s per core |
+//!
+//! The single-core experiments run their design points side by side:
+//! each benchmark trace is generated once and fed to all of them in
+//! lockstep ([`System::run_many`]).
 
 use crate::architecture::{Architecture, DesignPoint, Scenario};
 use crate::methodology::{design_ule_way, MethodologyInputs, UleWayDesign};
-use hyvec_cachesim::config::Mode;
-use hyvec_cachesim::engine::System;
+use hyvec_cachemodel::OperatingPoint;
+use hyvec_cachesim::config::{ConfigError, L2Config, MemoryConfig, Mode, SystemConfig};
+use hyvec_cachesim::engine::{RunReport, System, SystemBuilder};
 use hyvec_cachesim::faults::sample_faults;
 use hyvec_cachesim::power::{EnergyBreakdown, PowerModel};
+use hyvec_cachesim::stats::RunStats;
 use hyvec_edc::Protection;
 use hyvec_mediabench::Benchmark;
 use hyvec_sram::cell::{CellKind, SizedCell};
@@ -85,14 +91,23 @@ impl ExperimentParams {
     ///
     /// [`ParamsError::ZeroInstructions`] when `instructions` is 0:
     /// every per-instruction figure (EPI, CPI, overheads) would be
-    /// `NaN`.
+    /// `NaN`. [`ParamsError::TooManyInstructions`] when it exceeds
+    /// [`MAX_INSTRUCTIONS`].
     pub fn validate(&self) -> Result<(), ParamsError> {
         if self.instructions == 0 {
             return Err(ParamsError::ZeroInstructions);
         }
+        if self.instructions > MAX_INSTRUCTIONS {
+            return Err(ParamsError::TooManyInstructions);
+        }
         Ok(())
     }
 }
+
+/// The most instructions per benchmark [`ExperimentParams::validate`]
+/// accepts: 100 times the default. The bound keeps one request from
+/// holding a `hyvec serve` worker for hours.
+pub const MAX_INSTRUCTIONS: u64 = 10_000_000;
 
 /// Why a set of [`ExperimentParams`] cannot run (see
 /// [`ExperimentParams::validate`]).
@@ -100,42 +115,139 @@ impl ExperimentParams {
 pub enum ParamsError {
     /// `instructions` is 0.
     ZeroInstructions,
+    /// `instructions` exceeds [`MAX_INSTRUCTIONS`].
+    TooManyInstructions,
 }
 
 impl std::fmt::Display for ParamsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ParamsError::ZeroInstructions => f.write_str("instructions must be at least 1"),
+            ParamsError::TooManyInstructions => {
+                write!(f, "instructions must be at most {MAX_INSTRUCTIONS}")
+            }
         }
     }
 }
 
 impl std::error::Error for ParamsError {}
 
-/// Runs `benchmarks` on `arch` at `mode`, returning the summed energy
-/// breakdown, instructions and cycles.
-fn run_suite(
-    arch: &Architecture,
+/// The one single-core runner: generates each benchmark's
+/// `(benchmark, instructions, seed)` trace once and feeds it to every
+/// system in lockstep ([`System::run_many`]), system `i` at operating
+/// point `ops[i]`. Returns each system's reports in benchmark order
+/// (`reports[system][benchmark]`).
+fn run_suite_at(
+    systems: &mut [System],
+    ops: &[OperatingPoint],
     benchmarks: &[Benchmark],
     mode: Mode,
     params: ExperimentParams,
-) -> (EnergyBreakdown, u64, u64, Vec<(Benchmark, f64, u64)>) {
-    let mut system = System::new(arch.config.clone());
-    let mut total = EnergyBreakdown::default();
-    let mut instructions = 0;
-    let mut cycles = 0;
-    let mut per_bench = Vec::new();
-    for &b in benchmarks {
-        let report = system.run(b.trace(params.instructions, params.seed), mode);
-        total.l1_dynamic_pj += report.energy.l1_dynamic_pj;
-        total.l1_leakage_pj += report.energy.l1_leakage_pj;
-        total.edc_pj += report.energy.edc_pj;
-        total.other_pj += report.energy.other_pj;
-        instructions += report.stats.instructions;
-        cycles += report.stats.cycles;
-        per_bench.push((b, report.epi_pj(), report.stats.cycles));
+) -> Vec<Vec<RunReport>> {
+    let mut reports = vec![Vec::new(); systems.len()];
+    for b in benchmarks {
+        let trace = b.trace(params.instructions, params.seed);
+        let runs = System::run_many(systems, trace, mode, ops);
+        for (lane, report) in reports.iter_mut().zip(runs) {
+            lane.push(report);
+        }
     }
-    (total, instructions, cycles, per_bench)
+    reports
+}
+
+/// [`run_suite_at`] at `mode`'s nominal operating point.
+fn run_suite(
+    systems: &mut [System],
+    benchmarks: &[Benchmark],
+    mode: Mode,
+    params: ExperimentParams,
+) -> Vec<Vec<RunReport>> {
+    let ops = vec![mode.operating_point(); systems.len()];
+    run_suite_at(systems, &ops, benchmarks, mode, params)
+}
+
+/// Sums one counter over a system's reports.
+fn total(reports: &[RunReport], count: impl Fn(&RunStats) -> u64) -> u64 {
+    reports.iter().map(|r| count(&r.stats)).sum()
+}
+
+/// A system's energy breakdown and instructions summed over its
+/// reports, in report order.
+fn suite_energy(reports: &[RunReport]) -> (EnergyBreakdown, u64) {
+    let mut energy = EnergyBreakdown::default();
+    for r in reports {
+        energy.l1_dynamic_pj += r.energy.l1_dynamic_pj;
+        energy.l1_leakage_pj += r.energy.l1_leakage_pj;
+        energy.edc_pj += r.energy.edc_pj;
+        energy.other_pj += r.energy.other_pj;
+    }
+    (energy, total(reports, |s| s.instructions))
+}
+
+/// The proposal's suite-average EPI saving over the baseline.
+fn epi_saving(baseline: &[RunReport], proposal: &[RunReport]) -> f64 {
+    let (be, bi) = suite_energy(baseline);
+    let (pe, pi) = suite_energy(proposal);
+    1.0 - pe.epi_pj(pi) / be.epi_pj(bi)
+}
+
+/// Unwraps a machine assembled from the validated paper geometry.
+fn assembled<T>(built: Result<T, ConfigError>) -> T {
+    // hyvec-lint: allow(no-panic, "inputs are Architecture-built L1s, L2Config::unified presets and the ascending core-count constants, plus soft_error_study's documented SEU-rate precondition; exercised by every run-all")
+    built.expect("valid machine")
+}
+
+/// The flat-memory system of `config`.
+fn system(config: SystemConfig) -> System {
+    assembled(System::builder().config(config).build())
+}
+
+/// `system` with stuck-at faults sampled into its DL1, then its IL1,
+/// at per-way probabilities `pf`, from one stream seeded by `seed`.
+fn with_faults(mut system: System, pf: &[f64], seed: u64) -> System {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    sample_faults(system.dl1_mut(), pf, &mut rng);
+    sample_faults(system.il1_mut(), pf, &mut rng);
+    system
+}
+
+/// [`run_suite`] on the pinned baseline and proposal of `scenario`, in
+/// that order.
+fn pinned_suite(
+    scenario: Scenario,
+    benchmarks: &[Benchmark],
+    mode: Mode,
+    params: ExperimentParams,
+) -> Vec<Vec<RunReport>> {
+    let mut systems =
+        DesignPoint::ALL.map(|point| system(Architecture::build_pinned(scenario, point).config));
+    run_suite(&mut systems, benchmarks, mode, params)
+}
+
+/// `(scenario, point)` at a way split and memory latency the ablations
+/// sweep, with default models.
+fn ablation_arch(
+    scenario: Scenario,
+    point: DesignPoint,
+    hp: usize,
+    ule: usize,
+    latency: u32,
+) -> Architecture {
+    let (model, inputs) = (FailureModel::default(), MethodologyInputs::default());
+    Architecture::build_with(scenario, point, &model, &inputs, hp, ule, latency)
+        // hyvec-lint: allow(no-panic, "every way split and latency the ablations sweep sizes with default models; exercised by every run-all")
+        .expect("ablation architecture")
+}
+
+/// The 7+1 proposal of `scenario` behind the slow
+/// [`ABLATION_L2_MEMORY_LATENCY`] memory: the machine the L2,
+/// core-count and workload ablations extend.
+fn slow_memory_proposal(scenario: Scenario) -> SystemBuilder {
+    let latency = ABLATION_L2_MEMORY_LATENCY;
+    let arch = ablation_arch(scenario, DesignPoint::Proposal, 7, 1, latency);
+    System::builder()
+        .config(arch.config)
+        .memory(MemoryConfig::with_latency(latency))
 }
 
 // ---------------------------------------------------------------------
@@ -161,16 +273,15 @@ pub struct Fig3Result {
 
 /// Regenerates Figure 3 for `scenario` (BigBench at HP mode).
 pub fn fig3_hp_epi(scenario: Scenario, params: ExperimentParams) -> Fig3Result {
-    let baseline = Architecture::build_pinned(scenario, DesignPoint::Baseline);
-    let proposal = Architecture::build_pinned(scenario, DesignPoint::Proposal);
-    let (be, bi, _, bb) = run_suite(&baseline, &Benchmark::BIG, Mode::Hp, params);
-    let (pe, pi, _, pb) = run_suite(&proposal, &Benchmark::BIG, Mode::Hp, params);
+    let reports = pinned_suite(scenario, &Benchmark::BIG, Mode::Hp, params);
+    let (be, bi) = suite_energy(&reports[0]);
+    let (pe, pi) = suite_energy(&reports[1]);
     let base_epi = be.epi_pj(bi);
     let prop_epi = pe.epi_pj(pi);
-    let per_benchmark = bb
+    let per_benchmark = Benchmark::BIG
         .iter()
-        .zip(&pb)
-        .map(|((b, base, _), (_, prop, _))| (*b, prop / base))
+        .zip(reports[0].iter().zip(&reports[1]))
+        .map(|(&b, (base, prop))| (b, prop.epi_pj() / base.epi_pj()))
         .collect();
     Fig3Result {
         scenario,
@@ -211,28 +322,23 @@ pub struct Fig4Result {
 
 /// Regenerates Figure 4 for `scenario` (SmallBench at ULE mode).
 pub fn fig4_ule_epi(scenario: Scenario, params: ExperimentParams) -> Fig4Result {
-    let baseline = Architecture::build_pinned(scenario, DesignPoint::Baseline);
-    let proposal = Architecture::build_pinned(scenario, DesignPoint::Proposal);
-    let mut base_sys = System::new(baseline.config.clone());
-    let mut prop_sys = System::new(proposal.config.clone());
-    let mut rows = Vec::new();
-    let mut savings = 0.0;
-    for b in Benchmark::SMALL {
-        let br = base_sys.run(b.trace(params.instructions, params.seed), Mode::Ule);
-        let pr = prop_sys.run(b.trace(params.instructions, params.seed), Mode::Ule);
-        let base_total = br.energy.total_pj();
-        let saving = 1.0 - pr.energy.total_pj() / base_total;
-        savings += saving;
-        rows.push(Fig4Row {
-            benchmark: b,
-            baseline: br.energy.scaled(1.0 / base_total),
-            proposal: pr.energy.scaled(1.0 / base_total),
-            saving,
-        });
-    }
+    let reports = pinned_suite(scenario, &Benchmark::SMALL, Mode::Ule, params);
+    let rows: Vec<Fig4Row> = Benchmark::SMALL
+        .iter()
+        .zip(reports[0].iter().zip(&reports[1]))
+        .map(|(&benchmark, (br, pr))| {
+            let base_total = br.energy.total_pj();
+            Fig4Row {
+                benchmark,
+                baseline: br.energy.scaled(1.0 / base_total),
+                proposal: pr.energy.scaled(1.0 / base_total),
+                saving: 1.0 - pr.energy.total_pj() / base_total,
+            }
+        })
+        .collect();
     Fig4Result {
         scenario,
-        avg_saving: savings / rows.len() as f64,
+        avg_saving: rows.iter().map(|r| r.saving).sum::<f64>() / rows.len() as f64,
         rows,
     }
 }
@@ -274,21 +380,15 @@ pub struct PerfRow {
 /// Measures the ULE-mode execution-time overhead of the proposal
 /// (SmallBench).
 pub fn ule_performance(scenario: Scenario, params: ExperimentParams) -> Vec<PerfRow> {
-    let baseline = Architecture::build_pinned(scenario, DesignPoint::Baseline);
-    let proposal = Architecture::build_pinned(scenario, DesignPoint::Proposal);
-    let mut base_sys = System::new(baseline.config.clone());
-    let mut prop_sys = System::new(proposal.config.clone());
+    let reports = pinned_suite(scenario, &Benchmark::SMALL, Mode::Ule, params);
     Benchmark::SMALL
         .iter()
-        .map(|&b| {
-            let br = base_sys.run(b.trace(params.instructions, params.seed), Mode::Ule);
-            let pr = prop_sys.run(b.trace(params.instructions, params.seed), Mode::Ule);
-            PerfRow {
-                benchmark: b,
-                baseline_cycles: br.stats.cycles,
-                proposal_cycles: pr.stats.cycles,
-                overhead: pr.stats.cycles as f64 / br.stats.cycles as f64 - 1.0,
-            }
+        .zip(reports[0].iter().zip(&reports[1]))
+        .map(|(&benchmark, (br, pr))| PerfRow {
+            benchmark,
+            baseline_cycles: br.stats.cycles,
+            proposal_cycles: pr.stats.cycles,
+            overhead: pr.stats.cycles as f64 / br.stats.cycles as f64 - 1.0,
         })
         .collect()
 }
@@ -441,17 +541,6 @@ pub fn reliability(scenario: Scenario, dies: u32, params: ExperimentParams) -> R
     if let Some(ule_idx) = proposal.config.dl1.ways.iter().position(|w| w.ule_enabled) {
         pf[ule_idx] = pf_demo;
     }
-    let mut prop_sys = System::new(proposal.config.clone());
-    let mut rng2 = SmallRng::seed_from_u64(params.seed ^ 0xD1E5_A171);
-    sample_faults(prop_sys.dl1_mut(), &pf, &mut rng2);
-    sample_faults(prop_sys.il1_mut(), &pf, &mut rng2);
-    let mut proposal_silent = 0;
-    let mut proposal_corrected = 0;
-    for b in Benchmark::SMALL {
-        let r = prop_sys.run(b.trace(params.instructions, params.seed), Mode::Ule);
-        proposal_silent += r.stats.silent_corruptions();
-        proposal_corrected += r.stats.corrected();
-    }
 
     // Strawman: identical 8T sizing and fault rate, but no EDC.
     let mut strawman_cfg = proposal.config.clone();
@@ -464,15 +553,9 @@ pub fn reliability(scenario: Scenario, dies: u32, params: ExperimentParams) -> R
         way.protection_hp = Protection::None;
         way.protection_ule = Protection::None;
     }
-    let mut straw_sys = System::new(strawman_cfg);
-    let mut rng3 = SmallRng::seed_from_u64(params.seed ^ 0xD1E5_A171);
-    sample_faults(straw_sys.dl1_mut(), &pf, &mut rng3);
-    sample_faults(straw_sys.il1_mut(), &pf, &mut rng3);
-    let mut strawman_silent = 0;
-    for b in Benchmark::SMALL {
-        let r = straw_sys.run(b.trace(params.instructions, params.seed), Mode::Ule);
-        strawman_silent += r.stats.silent_corruptions();
-    }
+    let mut systems = [proposal.config, strawman_cfg]
+        .map(|config| with_faults(system(config), &pf, params.seed ^ 0xD1E5_A171));
+    let reports = run_suite(&mut systems, &Benchmark::SMALL, Mode::Ule, params);
 
     ReliabilityResult {
         scenario,
@@ -480,9 +563,9 @@ pub fn reliability(scenario: Scenario, dies: u32, params: ExperimentParams) -> R
         analytic_proposal,
         mc_proposal: f64::from(good) / f64::from(dies),
         dies,
-        proposal_silent,
-        proposal_corrected,
-        strawman_silent,
+        proposal_silent: total(&reports[0], RunStats::silent_corruptions),
+        proposal_corrected: total(&reports[0], RunStats::corrected),
+        strawman_silent: total(&reports[1], RunStats::silent_corruptions),
     }
 }
 
@@ -510,8 +593,7 @@ pub struct VoltageRow {
 /// The paper fixes 350mV ("our architecture is not limited to any
 /// particular Vcc level"); this sweep substantiates that sentence.
 pub fn ablation_voltage(scenario: Scenario, params: ExperimentParams) -> Vec<VoltageRow> {
-    use hyvec_cachemodel::OperatingPoint;
-    [0.32f64, 0.35, 0.40, 0.45]
+    let points: Vec<(f64, [Architecture; 2])> = [0.32f64, 0.35, 0.40, 0.45]
         .iter()
         .filter_map(|&vdd| {
             let inputs = MethodologyInputs {
@@ -521,32 +603,32 @@ pub fn ablation_voltage(scenario: Scenario, params: ExperimentParams) -> Vec<Vol
             let model = FailureModel::default();
             let build =
                 |point| Architecture::build_with(scenario, point, &model, &inputs, 7, 1, 20).ok();
-            let baseline = build(DesignPoint::Baseline)?;
-            let proposal = build(DesignPoint::Proposal)?;
-            // Keep 5MHz at 350mV and scale roughly with the voltage
-            // headroom (a simple DVS curve).
-            let freq = 5.0e6 * (vdd / 0.35).powi(3);
-            let op = OperatingPoint::new(vdd, freq);
-            let mut base_sys = System::new(baseline.config.clone());
-            let mut prop_sys = System::new(proposal.config.clone());
-            let mut base_e = 0.0;
-            let mut prop_e = 0.0;
-            for b in Benchmark::SMALL {
-                base_e += base_sys
-                    .run_at(b.trace(params.instructions, params.seed), Mode::Ule, op)
-                    .energy
-                    .total_pj();
-                prop_e += prop_sys
-                    .run_at(b.trace(params.instructions, params.seed), Mode::Ule, op)
-                    .energy
-                    .total_pj();
-            }
-            Some(VoltageRow {
-                ule_vdd: vdd,
-                sizing_10t: baseline.design.sizing_10t,
-                sizing_8t: proposal.design.sizing_8t,
-                ule_saving: 1.0 - prop_e / base_e,
-            })
+            Some((
+                vdd,
+                [build(DesignPoint::Baseline)?, build(DesignPoint::Proposal)?],
+            ))
+        })
+        .collect();
+    let mut systems: Vec<System> = points
+        .iter()
+        .flat_map(|(_, archs)| archs.clone().map(|arch| system(arch.config)))
+        .collect();
+    // Keep 5MHz at 350mV and scale roughly with the voltage headroom
+    // (a simple DVS curve).
+    let ops: Vec<OperatingPoint> = points
+        .iter()
+        .flat_map(|&(vdd, _)| [OperatingPoint::new(vdd, 5.0e6 * (vdd / 0.35).powi(3)); 2])
+        .collect();
+    let reports = run_suite_at(&mut systems, &ops, &Benchmark::SMALL, Mode::Ule, params);
+    let energy = |reports: &[RunReport]| reports.iter().map(|r| r.energy.total_pj()).sum::<f64>();
+    points
+        .iter()
+        .zip(reports.chunks(2))
+        .map(|((vdd, [baseline, proposal]), pair)| VoltageRow {
+            ule_vdd: *vdd,
+            sizing_10t: baseline.design.sizing_10t,
+            sizing_8t: proposal.design.sizing_8t,
+            ule_saving: 1.0 - energy(&pair[1]) / energy(&pair[0]),
         })
         .collect()
 }
@@ -586,47 +668,33 @@ pub fn soft_error_study(params: ExperimentParams, seu_rate: f64) -> SoftErrorRes
     let proposal = Architecture::build_pinned(Scenario::B, DesignPoint::Proposal);
     let design = proposal.design;
 
-    let run = |prot: Protection| {
+    // Hard faults at a rate that guarantees several faulty bits.
+    let mut pf = vec![0.0f64; proposal.config.dl1.ways.len()];
+    if let Some(i) = proposal.config.dl1.ways.iter().position(|w| w.ule_enabled) {
+        pf[i] = design.pf_8t.max(2e-3);
+    }
+    let mut systems = [Protection::Secded, Protection::Dected].map(|prot| {
         let mut cfg = proposal.config.clone();
         for way in cfg.il1.ways.iter_mut().chain(cfg.dl1.ways.iter_mut()) {
             if way.ule_enabled {
                 way.protection_ule = prot;
             }
         }
-        let mut sys = System::builder()
-            .config(cfg.clone())
+        let sys = System::builder()
+            .config(cfg)
             .seu(seu_rate, params.seed ^ 0xABCD)
-            .build()
-            // hyvec-lint: allow(no-panic, "documented precondition (# Panics): a finite, non-negative SEU rate")
-            .expect("valid soft-error rate");
-        // Hard faults at a rate that guarantees several faulty bits.
-        let mut pf = vec![0.0f64; cfg.dl1.ways.len()];
-        if let Some(i) = cfg.dl1.ways.iter().position(|w| w.ule_enabled) {
-            pf[i] = design.pf_8t.max(2e-3);
-        }
-        let mut rng = SmallRng::seed_from_u64(params.seed ^ 0x050F_7E44);
-        sample_faults(sys.dl1_mut(), &pf, &mut rng);
-        sample_faults(sys.il1_mut(), &pf, &mut rng);
-        let mut corrected = 0;
-        let mut detected = 0;
-        let mut silent = 0;
-        for b in Benchmark::SMALL {
-            let r = sys.run(b.trace(params.instructions, params.seed), Mode::Ule);
-            corrected += r.stats.corrected();
-            detected += r.stats.detected();
-            silent += r.stats.silent_corruptions();
-        }
-        (corrected, detected, silent)
-    };
-
-    let (secded_corrected, secded_detected, s1) = run(Protection::Secded);
-    let (dected_corrected, dected_detected, s2) = run(Protection::Dected);
+            .build();
+        with_faults(assembled(sys), &pf, params.seed ^ 0x050F_7E44)
+    });
+    let reports = run_suite(&mut systems, &Benchmark::SMALL, Mode::Ule, params);
+    let (secded, dected) = (&reports[0], &reports[1]);
     SoftErrorResult {
-        secded_corrected,
-        secded_detected,
-        dected_corrected,
-        dected_detected,
-        silent: s1 + s2,
+        secded_corrected: total(secded, RunStats::corrected),
+        secded_detected: total(secded, RunStats::detected),
+        dected_corrected: total(dected, RunStats::corrected),
+        dected_detected: total(dected, RunStats::detected),
+        silent: total(secded, RunStats::silent_corruptions)
+            + total(dected, RunStats::silent_corruptions),
     }
 }
 
@@ -660,36 +728,23 @@ pub struct WaySplitRow {
 /// Compares 7+1 against 6+2 (paper: "did not provide further
 /// insights").
 pub fn ablation_ways(scenario: Scenario, params: ExperimentParams) -> Vec<WaySplitRow> {
-    [(7usize, 1usize), (6, 2)]
+    let splits = [(7usize, 1usize), (6, 2)];
+    let mut systems: Vec<System> = splits
         .iter()
-        .map(|&(hp, ule)| {
-            let build = |point| {
-                Architecture::build_with(
-                    scenario,
-                    point,
-                    &FailureModel::default(),
-                    &MethodologyInputs::default(),
-                    hp,
-                    ule,
-                    20,
-                )
-                // hyvec-lint: allow(no-panic, "every way split in the ablation range sizes with default models; the sweep itself is the regression test")
-                .expect("ablation arch")
-            };
-            let baseline = build(DesignPoint::Baseline);
-            let proposal = build(DesignPoint::Proposal);
-            let (be, bi, _, _) = run_suite(&baseline, &Benchmark::BIG, Mode::Hp, params);
-            let (pe, pi, _, _) = run_suite(&proposal, &Benchmark::BIG, Mode::Hp, params);
-            let hp_saving = 1.0 - pe.epi_pj(pi) / be.epi_pj(bi);
-            let (be, bi, _, _) = run_suite(&baseline, &Benchmark::SMALL, Mode::Ule, params);
-            let (pe, pi, _, _) = run_suite(&proposal, &Benchmark::SMALL, Mode::Ule, params);
-            let ule_saving = 1.0 - pe.epi_pj(pi) / be.epi_pj(bi);
-            WaySplitRow {
-                hp_ways: hp,
-                ule_ways: ule,
-                hp_saving,
-                ule_saving,
-            }
+        .flat_map(|&(hp, ule)| {
+            DesignPoint::ALL.map(|point| system(ablation_arch(scenario, point, hp, ule, 20).config))
+        })
+        .collect();
+    let hp = run_suite(&mut systems, &Benchmark::BIG, Mode::Hp, params);
+    let ule = run_suite(&mut systems, &Benchmark::SMALL, Mode::Ule, params);
+    splits
+        .iter()
+        .zip(hp.chunks(2).zip(ule.chunks(2)))
+        .map(|(&(hp_ways, ule_ways), (hp, ule))| WaySplitRow {
+            hp_ways,
+            ule_ways,
+            hp_saving: epi_saving(&hp[0], &hp[1]),
+            ule_saving: epi_saving(&ule[0], &ule[1]),
         })
         .collect()
 }
@@ -710,38 +765,20 @@ pub struct MemLatRow {
 /// Sweeps the memory latency (paper: "other memory latencies do not
 /// change the trends").
 pub fn ablation_memory_latency(scenario: Scenario, params: ExperimentParams) -> Vec<MemLatRow> {
-    [10u32, 20, 40, 80]
+    let latencies = [10u32, 20, 40, 80];
+    let mut systems: Vec<System> = latencies
         .iter()
-        .map(|&lat| {
-            let build = |point| {
-                Architecture::build_with(
-                    scenario,
-                    point,
-                    &FailureModel::default(),
-                    &MethodologyInputs::default(),
-                    7,
-                    1,
-                    lat,
-                )
-                // hyvec-lint: allow(no-panic, "every latency point in the ablation range sizes with default models; the sweep itself is the regression test")
-                .expect("ablation arch")
-            };
-            let (be, bi, _, _) = run_suite(
-                &build(DesignPoint::Baseline),
-                &Benchmark::BIG,
-                Mode::Hp,
-                params,
-            );
-            let (pe, pi, _, _) = run_suite(
-                &build(DesignPoint::Proposal),
-                &Benchmark::BIG,
-                Mode::Hp,
-                params,
-            );
-            MemLatRow {
-                latency: lat,
-                hp_saving: 1.0 - pe.epi_pj(pi) / be.epi_pj(bi),
-            }
+        .flat_map(|&lat| {
+            DesignPoint::ALL.map(|point| system(ablation_arch(scenario, point, 7, 1, lat).config))
+        })
+        .collect();
+    let reports = run_suite(&mut systems, &Benchmark::BIG, Mode::Hp, params);
+    latencies
+        .iter()
+        .zip(reports.chunks(2))
+        .map(|(&latency, pair)| MemLatRow {
+            latency,
+            hp_saving: epi_saving(&pair[0], &pair[1]),
         })
         .collect()
 }
@@ -783,69 +820,38 @@ pub const ABLATION_L2_MEMORY_LATENCY: u32 = 80;
 /// [`hyvec_cachesim::hierarchy::MemoryLevel`] chain
 /// (`L1s -> L2Cache -> MainMemory`) assembled by `System::builder()`.
 pub fn ablation_l2(scenario: Scenario, params: ExperimentParams) -> Vec<L2Row> {
-    use hyvec_cachesim::config::{L2Config, MemoryConfig};
-
-    let arch = Architecture::build_with(
-        scenario,
-        DesignPoint::Proposal,
-        &FailureModel::default(),
-        &MethodologyInputs::default(),
-        7,
-        1,
-        ABLATION_L2_MEMORY_LATENCY,
-    )
-    // hyvec-lint: allow(no-panic, "the pinned 7+1 proposal sizing converges with default models; exercised by every run-all")
-    .expect("proposal architecture");
-
-    [None, Some(16u64), Some(64), Some(256)]
+    let sizes = [None, Some(16u64), Some(64), Some(256)];
+    let flat = slow_memory_proposal(scenario);
+    let mut systems: Vec<System> = sizes
         .iter()
-        .map(|&size_kb| {
-            let mut builder = System::builder()
-                .config(arch.config.clone())
-                .memory(MemoryConfig::with_latency(ABLATION_L2_MEMORY_LATENCY));
-            let mut hit_latency = 0;
-            if let Some(kb) = size_kb {
-                let l2 = L2Config::unified(kb);
-                hit_latency = l2.hit_latency;
-                builder = builder.l2(l2);
-            }
-            // hyvec-lint: allow(no-panic, "builder inputs are the validated paper geometry plus L2Config::unified presets; exercised by every run-all")
-            let mut system = builder.build().expect("valid hierarchy");
-
-            let mut instructions = 0u64;
-            let mut cycles = 0u64;
-            let mut energy_pj = 0.0;
-            let mut row = L2Row {
+        .map(|&size_kb| match size_kb {
+            Some(kb) => assembled(flat.clone().l2(L2Config::unified(kb)).build()),
+            None => assembled(flat.clone().build()),
+        })
+        .collect();
+    let reports = run_suite(&mut systems, &Benchmark::BIG, Mode::Hp, params);
+    sizes
+        .iter()
+        .zip(&reports)
+        .map(|(&size_kb, reports)| {
+            let instructions = total(reports, |s| s.instructions);
+            let l2_hits = total(reports, |s| s.l2.map_or(0, |l2| l2.hits));
+            let l2_accesses = total(reports, |s| s.l2.map_or(0, |l2| l2.accesses));
+            let energy_pj: f64 = reports.iter().map(|r| r.energy.total_pj()).sum();
+            L2Row {
                 size_kb: size_kb.unwrap_or(0),
-                hit_latency,
-                cpi: 0.0,
-                epi_pj: 0.0,
-                l2_hit_ratio: 0.0,
-                il1_stall_cycles: 0,
-                dl1_stall_cycles: 0,
-                memory_accesses: 0,
-            };
-            let mut l2_hits = 0u64;
-            let mut l2_accesses = 0u64;
-            for b in Benchmark::BIG {
-                let r = system.run(b.trace(params.instructions, params.seed), Mode::Hp);
-                instructions += r.stats.instructions;
-                cycles += r.stats.cycles;
-                energy_pj += r.energy.total_pj();
-                row.il1_stall_cycles += r.stats.il1_stall_cycles;
-                row.dl1_stall_cycles += r.stats.dl1_stall_cycles;
-                row.memory_accesses += r.stats.memory_accesses;
-                if let Some(l2) = r.stats.l2 {
-                    l2_hits += l2.hits;
-                    l2_accesses += l2.accesses;
-                }
+                hit_latency: size_kb.map_or(0, |kb| L2Config::unified(kb).hit_latency),
+                cpi: total(reports, |s| s.cycles) as f64 / instructions as f64,
+                epi_pj: energy_pj / instructions as f64,
+                l2_hit_ratio: if l2_accesses > 0 {
+                    l2_hits as f64 / l2_accesses as f64
+                } else {
+                    0.0
+                },
+                il1_stall_cycles: total(reports, |s| s.il1_stall_cycles),
+                dl1_stall_cycles: total(reports, |s| s.dl1_stall_cycles),
+                memory_accesses: total(reports, |s| s.memory_accesses),
             }
-            row.cpi = cycles as f64 / instructions as f64;
-            row.epi_pj = energy_pj / instructions as f64;
-            if l2_accesses > 0 {
-                row.l2_hit_ratio = l2_hits as f64 / l2_accesses as f64;
-            }
-            row
         })
         .collect()
 }
@@ -923,28 +929,13 @@ pub const ABLATION_CORES_PROGRAMS: [Benchmark; 6] = [
 /// is a nested machine of one run over the 64 cores' traces, so each
 /// core's L1s are simulated once for all seven rows.
 pub fn ablation_cores(scenario: Scenario, params: ExperimentParams) -> Vec<CoresRow> {
-    use hyvec_cachesim::config::{L2Config, MemoryConfig};
     use hyvec_mediabench::multiprogram_sources;
 
-    let arch = Architecture::build_with(
-        scenario,
-        DesignPoint::Proposal,
-        &FailureModel::default(),
-        &MethodologyInputs::default(),
-        7,
-        1,
-        ABLATION_L2_MEMORY_LATENCY,
-    )
-    // hyvec-lint: allow(no-panic, "the pinned 7+1 proposal sizing converges with default models; exercised by every run-all")
-    .expect("proposal architecture");
-
-    let mut system = System::builder()
-        .config(arch.config.clone())
-        .memory(MemoryConfig::with_latency(ABLATION_L2_MEMORY_LATENCY))
-        .l2(L2Config::unified(ABLATION_CORES_L2_KB))
-        .build_multi_prefixes(&ABLATION_CORES_COUNTS)
-        // hyvec-lint: allow(no-panic, "builder inputs are the validated paper geometry plus L2Config::unified presets and the ascending count constant; exercised by every run-all")
-        .expect("valid multi-core hierarchy");
+    let mut system = assembled(
+        slow_memory_proposal(scenario)
+            .l2(L2Config::unified(ABLATION_CORES_L2_KB))
+            .build_multi_prefixes(&ABLATION_CORES_COUNTS),
+    );
     let benchmarks: Vec<Benchmark> = (0..system.cores())
         .map(|i| ABLATION_CORES_PROGRAMS[i % ABLATION_CORES_PROGRAMS.len()])
         .collect();
@@ -1004,31 +995,17 @@ pub struct CoresTopologyRow {
 /// genuinely migrate: write upgrades invalidate peer copies and misses
 /// are supplied cache-to-cache.
 pub fn ablation_cores_mesi(scenario: Scenario, params: ExperimentParams) -> Vec<CoresTopologyRow> {
-    use hyvec_cachesim::config::{L2Config, MemoryConfig, Mesi, Topology};
+    use hyvec_cachesim::config::{Mesi, Topology};
     use hyvec_mediabench::per_core_seed;
 
-    let arch = Architecture::build_with(
-        scenario,
-        DesignPoint::Proposal,
-        &FailureModel::default(),
-        &MethodologyInputs::default(),
-        7,
-        1,
-        ABLATION_L2_MEMORY_LATENCY,
-    )
-    // hyvec-lint: allow(no-panic, "the pinned 7+1 proposal sizing converges with default models; exercised by every run-all")
-    .expect("proposal architecture");
-
-    let mut system = System::builder()
-        .config(arch.config.clone())
-        .memory(MemoryConfig::with_latency(ABLATION_L2_MEMORY_LATENCY))
-        .l2(L2Config::unified(ABLATION_CORES_L2_KB))
-        .topology(Topology::PrivateL2 {
-            coherence: Some(Mesi::default()),
-        })
-        .build_multi_prefixes(&ABLATION_CORES_MESI_COUNTS)
-        // hyvec-lint: allow(no-panic, "builder inputs are the validated paper geometry plus L2Config::unified presets and the ascending count constant; exercised by every run-all")
-        .expect("valid private-L2 MESI machine");
+    let mut system = assembled(
+        slow_memory_proposal(scenario)
+            .l2(L2Config::unified(ABLATION_CORES_L2_KB))
+            .topology(Topology::PrivateL2 {
+                coherence: Some(Mesi::default()),
+            })
+            .build_multi_prefixes(&ABLATION_CORES_MESI_COUNTS),
+    );
     let sources: Vec<_> = (0..system.cores())
         .map(|core| {
             ABLATION_CORES_PROGRAMS[0].trace(params.instructions, per_core_seed(params.seed, core))
@@ -1113,9 +1090,10 @@ pub fn ablation_granularity() -> Vec<GranularityRow> {
 use crate::report::{Cell, Column, Report, Section, Table};
 
 /// Monte-Carlo dies sampled by the reliability experiment. One
-/// setting for every entry point (sweep, `hyvec reliability`, the
-/// standalone binary), so the section stays byte-stable across them;
-/// call [`reliability`] directly for a tighter custom estimate.
+/// setting for every entry point (`hyvec run-all`, `hyvec
+/// reliability`, `hyvec serve`), so the section stays byte-stable
+/// across them; call [`reliability`] directly for a tighter custom
+/// estimate.
 pub const RELIABILITY_DIES: u32 = 100;
 
 /// Accelerated soft-error rate used by the sweep's soft-error job.
@@ -1556,37 +1534,17 @@ pub struct WorkloadZooRow {
 /// on the proposal machine (hybrid L1, 16KB L2, slow memory) at HP
 /// mode. Each trace is routed through the binary encoding — generator
 /// → [`hyvec_mediabench::TraceWriter`] →
-/// [`hyvec_mediabench::BinaryReplay`] → `System::run` — so every
+/// [`hyvec_mediabench::BinaryReplay`] → the engine — so every
 /// `run-all` exercises the streaming trace layer end to end, not just
 /// its unit tests.
 pub fn ablation_workloads(scenario: Scenario, params: ExperimentParams) -> Vec<WorkloadZooRow> {
-    use hyvec_cachesim::config::{L2Config, MemoryConfig};
     use hyvec_mediabench::binfmt::{encode_entries, BinaryReplay, DEFAULT_CHUNK_ENTRIES};
     use hyvec_mediabench::zoo::Workload;
 
-    let arch = Architecture::build_with(
-        scenario,
-        DesignPoint::Proposal,
-        &FailureModel::default(),
-        &MethodologyInputs::default(),
-        7,
-        1,
-        ABLATION_L2_MEMORY_LATENCY,
-    )
-    // hyvec-lint: allow(no-panic, "the pinned 7+1 proposal sizing converges with default models; exercised by every run-all")
-    .expect("proposal architecture");
-
+    let machine = slow_memory_proposal(scenario).l2(L2Config::unified(16));
     Workload::ALL
         .iter()
         .map(|&w| {
-            let mut system = System::builder()
-                .config(arch.config.clone())
-                .memory(MemoryConfig::with_latency(ABLATION_L2_MEMORY_LATENCY))
-                .l2(L2Config::unified(16))
-                .build()
-                // hyvec-lint: allow(no-panic, "builder inputs are the validated paper geometry plus L2Config::unified presets; exercised by every run-all")
-                .expect("valid hierarchy");
-
             let (bytes, _) = encode_entries(
                 w.trace(params.instructions, params.seed),
                 DEFAULT_CHUNK_ENTRIES,
@@ -1594,7 +1552,9 @@ pub fn ablation_workloads(scenario: Scenario, params: ExperimentParams) -> Vec<W
             let mut reader = BinaryReplay::from_bytes(bytes)
                 // hyvec-lint: allow(no-panic, "the header was just written by TraceWriter; exercised by every run-all")
                 .expect("freshly encoded trace has a valid header");
-            let r = system.run(&mut reader, Mode::Hp);
+            let op = [Mode::Hp.operating_point()];
+            let system = &mut [assembled(machine.clone().build())];
+            let r = System::run_many(system, &mut reader, Mode::Hp, &op)[0];
             // hyvec-lint: allow(no-panic, "an in-memory trace just produced by the encoder cannot be truncated; exercised by every run-all")
             assert!(reader.error().is_none(), "freshly encoded trace corrupt");
 
@@ -1881,6 +1841,27 @@ mod tests {
             ..p
         };
         assert_ne!(p.fingerprint(), more.fingerprint());
+    }
+
+    #[test]
+    fn validate_bounds_instructions_on_both_sides() {
+        let check = |instructions| {
+            ExperimentParams {
+                instructions,
+                seed: 1,
+            }
+            .validate()
+        };
+        assert_eq!(check(0), Err(ParamsError::ZeroInstructions));
+        assert_eq!(check(1), Ok(()));
+        assert_eq!(
+            check(100 * ExperimentParams::default().instructions),
+            Ok(())
+        );
+        let over = [MAX_INSTRUCTIONS + 1, u64::MAX].map(check);
+        assert_eq!(over, [Err(ParamsError::TooManyInstructions); 2]);
+        let message = ParamsError::TooManyInstructions.to_string();
+        assert_eq!(message, "instructions must be at most 10000000");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! * [`architecture::Architecture`] — turns a scenario + design point
 //!   into a simulatable [`hyvec_cachesim::SystemConfig`];
 //! * [`experiments`] — regenerates every figure and table of the
-//!   paper's evaluation (see `DESIGN.md` for the experiment index),
+//!   paper's evaluation (its module doc is the experiment index),
 //!   each behind the [`experiments::Experiment`] trait;
 //! * [`registry`] + [`sweep`] — the open experiment registry and the
 //!   parallel sweep runner that enumerates jobs from it;
@@ -41,10 +41,10 @@
 //! // Build the paper's proposed design for scenario A and run a
 //! // SmallBench workload at ULE mode.
 //! let arch = Architecture::build(Scenario::A, DesignPoint::Proposal)?;
-//! let mut system = System::new(arch.config.clone());
+//! let mut system = System::builder().config(arch.config.clone()).build()?;
 //! let report = system.run(Benchmark::AdpcmC.trace(10_000, 1), Mode::Ule);
 //! assert!(report.epi_pj() > 0.0);
-//! # Ok::<(), hyvec_sram::failure::SizingError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -497,6 +497,7 @@ fn method_not_allowed(allow: &'static str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyvec_core::experiments::MAX_INSTRUCTIONS;
 
     #[test]
     fn serve_flags_parse() {
@@ -547,6 +548,12 @@ mod tests {
         assert_eq!(format, Format::Json);
         let err = query(&[("instructions", "0")]).unwrap_err();
         assert!(err.contains("instructions must be at least 1"), "{err}");
+        let at_limit = MAX_INSTRUCTIONS.to_string();
+        let (params, _) = query(&[("instructions", at_limit.as_str())]).unwrap();
+        assert_eq!(params.instructions, MAX_INSTRUCTIONS);
+        let over = (MAX_INSTRUCTIONS + 1).to_string();
+        let err = query(&[("instructions", over.as_str())]).unwrap_err();
+        assert!(err.contains("instructions must be at most"), "{err}");
     }
 
     #[test]

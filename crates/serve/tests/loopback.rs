@@ -251,6 +251,7 @@ fn errors_are_clean_http_responses() {
         "/report/fig3/A?format=yaml",
         "/report/fig3/A?surprise=1",
         "/report/fig3/A?instructions=0",
+        "/report/fig3/A?instructions=1000000000000",
     ] {
         let (status, _, _) = get(&server, target);
         assert_eq!(status, 400, "{target}");
@@ -277,7 +278,7 @@ fn errors_are_clean_http_responses() {
     // None of that perturbed the success counters.
     let (_, _, stats) = get(&server, "/stats");
     assert_eq!(stat(&stats, "status_404"), 2);
-    assert_eq!(stat(&stats, "status_400"), 5);
+    assert_eq!(stat(&stats, "status_400"), 6);
     assert_eq!(stat(&stats, "status_405"), 1);
     server.stop();
     handle.join().expect("runner joins");

@@ -31,7 +31,10 @@ impl Experiment for UleHitRatios {
 
     fn run(&self, params: ExperimentParams, rng_seed: u64) -> Report {
         let arch = Architecture::build(Scenario::A, DesignPoint::Proposal).expect("arch");
-        let mut sys = System::new(arch.config.clone());
+        let mut sys = System::builder()
+            .config(arch.config.clone())
+            .build()
+            .expect("valid configuration");
         let run = sys.run(
             Benchmark::Mpeg2D.trace(params.instructions, rng_seed),
             Mode::Ule,

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     // 2. Run a big workload at HP mode (1V, 1GHz, all 8 ways).
-    let mut system = System::new(arch.config.clone());
+    let mut system = System::builder().config(arch.config.clone()).build()?;
     let hp = system.run(Benchmark::Mpeg2C.trace(200_000, 1), Mode::Hp);
     println!(
         "\nHP  mode ({}): EPI {:.2} pJ, CPI {:.3}, IL1 hit {:.1}%, DL1 hit {:.1}%",

@@ -57,7 +57,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     println!("[1] proposed design at its design failure rate:");
-    let (corrected, _, silent) = run_faulty(System::new(arch.config.clone()), pf, 99);
+    let system = |config| System::builder().config(config).build();
+    let (corrected, _, silent) = run_faulty(system(arch.config.clone())?, pf, 99);
     assert_eq!(silent, 0, "SECDED must deliver correct data");
     println!("    -> every exercised fault corrected ({corrected} corrections), zero corruption\n");
 
@@ -67,11 +68,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         way.protection_hp = Protection::None;
         way.protection_ule = Protection::None;
     }
-    let (_, _, silent) = run_faulty(System::new(naked), pf, 99);
+    let (_, _, silent) = run_faulty(system(naked)?, pf, 99);
     println!("    -> {silent} silently corrupted loads: unusable for critical applications\n");
 
     println!("[3] proposed design on an over-stressed die (10x design Pf):");
-    let (corrected, detected, silent) = run_faulty(System::new(arch.config.clone()), pf * 10.0, 99);
+    let (corrected, detected, silent) = run_faulty(system(arch.config.clone())?, pf * 10.0, 99);
     println!(
         "    -> {corrected} corrected; {detected} uncorrectable but *detected* (never silent: {silent})"
     );

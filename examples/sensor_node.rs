@@ -31,7 +31,7 @@ struct DutyCycle {
 /// Average power of a design under the duty cycle, in microwatts.
 fn average_power_uw(point: DesignPoint, duty: &DutyCycle) -> Result<f64, Box<dyn Error>> {
     let arch = Architecture::build(Scenario::A, point)?;
-    let mut system = System::new(arch.config.clone());
+    let mut system = System::builder().config(arch.config.clone()).build()?;
 
     // Characterize each mode with a representative run.
     let instructions = 150_000;

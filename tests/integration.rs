@@ -28,7 +28,7 @@ fn quick() -> ExperimentParams {
 fn end_to_end_proposal_runs_both_modes() {
     for s in Scenario::ALL {
         let arch = Architecture::build(s, DesignPoint::Proposal).unwrap();
-        let mut sys = System::new(arch.config.clone());
+        let mut sys = System::builder().config(arch.config).build().unwrap();
         let hp = sys.run(Benchmark::Mpeg2C.trace(30_000, 1), Mode::Hp);
         assert_eq!(hp.stats.instructions, 30_000);
         assert!(hp.stats.il1.hit_ratio() > 0.9);
@@ -159,7 +159,7 @@ fn stuck_bits_follow_through_the_whole_stack() {
     // Install a specific stuck bit in the proposal's ULE way and watch
     // the run report count exactly the corrections it causes.
     let arch = Architecture::build(Scenario::A, DesignPoint::Proposal).unwrap();
-    let mut sys = System::new(arch.config.clone());
+    let mut sys = System::builder().config(arch.config).build().unwrap();
     // Fill will happen at set 0, word 0 of the ULE way (way 7).
     sys.dl1_mut().set_stuck_bits(
         WordSlot {

@@ -76,15 +76,15 @@ fn hp_mode_has_no_performance_degradation() {
     use hyvec_core::architecture::{Architecture, DesignPoint};
     use hyvec_mediabench::Benchmark;
     for s in Scenario::ALL {
-        let base = Architecture::build(s, DesignPoint::Baseline).unwrap();
-        let prop = Architecture::build(s, DesignPoint::Proposal).unwrap();
-        let mut bs = System::new(base.config.clone());
-        let mut ps = System::new(prop.config.clone());
+        let mut systems = DesignPoint::ALL.map(|point| {
+            let arch = Architecture::build(s, point).unwrap();
+            System::builder().config(arch.config).build().unwrap()
+        });
+        let ops = [Mode::Hp.operating_point(); 2];
         for b in [Benchmark::GsmC, Benchmark::Mpeg2D] {
-            let br = bs.run(b.trace(40_000, 9), Mode::Hp);
-            let pr = ps.run(b.trace(40_000, 9), Mode::Hp);
+            let reports = System::run_many(&mut systems, b.trace(40_000, 9), Mode::Hp, &ops);
             assert_eq!(
-                br.stats.cycles, pr.stats.cycles,
+                reports[0].stats.cycles, reports[1].stats.cycles,
                 "scenario {s}/{b}: HP cycles must be identical"
             );
         }
